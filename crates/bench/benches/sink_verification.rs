@@ -37,8 +37,9 @@ fn anon_table_build(c: &mut Criterion) {
         let keys = KeyStore::derive_from_master(b"sink-bench", n);
         let rb = report_packet().report.to_bytes();
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &keys, |b, keys| {
-            b.iter(|| AnonTable::build(black_box(keys), black_box(&rb)))
+        let schedule = keys.schedule();
+        g.bench_with_input(BenchmarkId::from_parameter(n), &schedule, |b, schedule| {
+            b.iter(|| AnonTable::build_lanes_with(black_box(schedule), black_box(&rb)))
         });
     }
     g.finish();
@@ -95,10 +96,10 @@ fn packet_verification_shared_table(c: &mut Criterion) {
             break pkt;
         }
     };
-    let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+    let table = AnonTable::build_lanes_with(&keys.schedule(), &pkt.report.to_bytes());
     let verifier = SinkVerifier::new(keys);
     c.bench_function("packet_verification_shared_table", |b| {
-        b.iter(|| verifier.verify_nested_with_table(black_box(&pkt), black_box(&table)))
+        b.iter(|| verifier.verify_nested_with_table_batched(black_box(&pkt), black_box(&table)))
     });
 }
 
@@ -116,10 +117,10 @@ fn resolution_topology_ablation(c: &mut Criterion) {
     let aid = anon_id(keys.key(target).unwrap(), &rb, target);
     let anchor = NodeId(target - 1);
 
-    let table_keys = keys.clone();
+    let schedule = keys.schedule();
     g.bench_function("exhaustive_table", |b| {
         b.iter(|| {
-            let table = AnonTable::build(black_box(&table_keys), black_box(&rb));
+            let table = AnonTable::build_lanes_with(black_box(&schedule), black_box(&rb));
             black_box(table.resolve(&aid).to_vec())
         })
     });
@@ -131,7 +132,7 @@ fn resolution_topology_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// Staged-engine batch ingestion: 64 PNM packets spread over 4 reports
+/// Staged-engine stream ingestion: 64 PNM packets spread over 4 reports
 /// against a 1000-node key table. The engine's report-keyed table cache
 /// amortizes anon-ID resolution across same-report packets, so batch
 /// throughput is dominated by 4 table builds instead of 64.
@@ -161,7 +162,9 @@ fn engine_batch_ingest(c: &mut Criterion) {
     g.bench_function("cached_tables", |b| {
         b.iter(|| {
             let mut sink = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(VerifyMode::Nested));
-            black_box(sink.ingest_batch(black_box(&packets)))
+            for pkt in black_box(&packets) {
+                black_box(sink.ingest(pkt));
+            }
         })
     });
     g.finish();

@@ -81,7 +81,7 @@ pub use scheme::{
     ExtendedAms, MarkingScheme, NestedMarking, NodeContext, PlainMarking,
     ProbabilisticNestedMarking, ProbabilisticNestedPlainId,
 };
-pub use sink::{RejectReason, SinkConfig, SinkCounters, SinkEngine, SinkOutcome};
+pub use sink::{Arrival, RejectReason, SinkConfig, SinkCounters, SinkEngine, SinkOutcome};
 pub use stage::{StageMetrics, STAGE_NAMES};
 pub use store::{Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay};
 pub use verify::{

@@ -21,16 +21,18 @@
 //!    [`IsolationPolicy`] is configured, quarantine-set maintenance.
 //!
 //! The engine is built once from a [`SinkConfig`] plus a shared
-//! `Arc<KeyStore>` and exposes per-packet [`SinkEngine::ingest`] and batch
-//! [`SinkEngine::ingest_batch`]. Both run the identical code path — batch
-//! ingestion produces byte-identical chains and counters — but the engine
-//! amortizes the expensive anonymous-ID work across packets: a multi-entry
-//! table cache keyed by report bytes means `k` distinct reports cost `k`
-//! table builds no matter how many packets carry them, and reusable scratch
-//! buffers keep per-mark verification allocation-free. Uniform
-//! instrumentation ([`SinkCounters`]) reports hash evaluations, mark
-//! verdicts, cache behavior, and resolver fallbacks.
+//! `Arc<KeyStore>` and has one ingest call, [`SinkEngine::ingest`], taking
+//! an [`Arrival`] record (a bare `&Packet` converts into the default one),
+//! plus the total byte decoder [`SinkEngine::ingest_bytes`] in front of
+//! it. The engine amortizes the expensive anonymous-ID work across
+//! packets: a multi-entry table cache keyed by report bytes means `k`
+//! distinct reports cost `k` table builds no matter how many packets carry
+//! them, and reusable scratch buffers keep per-mark verification
+//! allocation-free. Uniform instrumentation ([`SinkCounters`]) reports
+//! hash evaluations, mark verdicts, cache behavior, and resolver
+//! fallbacks.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::{Add, AddAssign};
 use std::sync::Arc;
@@ -76,7 +78,6 @@ pub struct SinkConfig {
     min_support: usize,
     tracer: Tracer,
     stage_timing: bool,
-    lane_crypto: bool,
 }
 
 impl SinkConfig {
@@ -94,20 +95,7 @@ impl SinkConfig {
             min_support: 1,
             tracer: Tracer::noop(),
             stage_timing: false,
-            lane_crypto: true,
         }
-    }
-
-    /// Toggles lane-parallel (SIMD multi-buffer) crypto in the verify and
-    /// resolve stages: batched MAC checks
-    /// ([`SinkVerifier::verify_nested_with_table_batched`]) and lane
-    /// anonymous-ID table builds ([`AnonTable::build_parallel_lanes_with`]).
-    /// On by default; verdicts, chains, and counters are identical either
-    /// way (pinned by test) — `false` selects the scalar path, for
-    /// comparison benchmarks or debugging.
-    pub fn lane_crypto(mut self, on: bool) -> Self {
-        self.lane_crypto = on;
-        self
     }
 
     /// Sets how many per-report anonymous-ID tables stay cached (≥ 1).
@@ -117,10 +105,10 @@ impl SinkConfig {
     }
 
     /// Builds anonymous-ID tables with `threads` workers
-    /// ([`AnonTable::build_parallel`]); default 1 = serial. The resulting
-    /// tables — and therefore every verdict, localization, and counter —
-    /// are identical at any thread count; only table-build latency on
-    /// multi-core sinks changes.
+    /// ([`AnonTable::build_parallel_lanes_with`]); default 1 = one
+    /// lane-parallel worker. The resulting tables — and therefore every
+    /// verdict, localization, and counter — are identical at any thread
+    /// count; only table-build latency on multi-core sinks changes.
     pub fn table_build_threads(mut self, threads: usize) -> Self {
         self.table_build_threads = threads.max(1);
         self
@@ -313,6 +301,71 @@ pub enum RejectReason {
     Duplicate,
 }
 
+/// One packet's arrival at an ingest layer: the packet, the arrival clock
+/// the classifier's rate window reads, and the trace context the pass runs
+/// under.
+///
+/// Every ingest layer — [`SinkEngine::ingest`] over a borrowed packet, the
+/// service pool over an owned one — takes this one record. A bare packet
+/// converts into the default record ([`Arrival::new`]): stamped with its
+/// report's own timestamp (the simulators deliver reports stamped at send
+/// time) and untraced. Tracing is observation only: the context never
+/// changes an outcome, a counter, or an evidence byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Arrival<P> {
+    /// The packet (`&Packet` at the engine, `Packet` across a queue).
+    pub packet: P,
+    /// Arrival clock in microseconds, for the classifier's rate window.
+    pub now_us: u64,
+    /// Causal context; [`TraceContext::NONE`] when untraced.
+    pub ctx: TraceContext,
+}
+
+impl<P: Borrow<Packet>> Arrival<P> {
+    /// The default record: the report's own timestamp, untraced.
+    pub fn new(packet: P) -> Self {
+        let now_us = packet.borrow().report.timestamp;
+        Arrival {
+            packet,
+            now_us,
+            ctx: TraceContext::NONE,
+        }
+    }
+
+    /// Overrides the arrival clock.
+    pub fn at(mut self, now_us: u64) -> Self {
+        self.now_us = now_us;
+        self
+    }
+
+    /// Runs the pass inside `ctx`.
+    pub fn traced(mut self, ctx: TraceContext) -> Self {
+        self.ctx = ctx;
+        self
+    }
+
+    /// The same arrival over a borrowed packet.
+    pub fn as_ref(&self) -> Arrival<&Packet> {
+        Arrival {
+            packet: self.packet.borrow(),
+            now_us: self.now_us,
+            ctx: self.ctx,
+        }
+    }
+}
+
+impl<'a, P: Borrow<Packet>> From<&'a P> for Arrival<&'a Packet> {
+    fn from(packet: &'a P) -> Self {
+        Arrival::new(packet.borrow())
+    }
+}
+
+impl From<Packet> for Arrival<Packet> {
+    fn from(packet: Packet) -> Self {
+        Arrival::new(packet)
+    }
+}
+
 /// What the pipeline decided about one packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SinkOutcome {
@@ -387,7 +440,6 @@ pub struct SinkEngine {
     table_cache: Vec<(Vec<u8>, AnonTable)>,
     table_cache_capacity: usize,
     table_build_threads: usize,
-    lane_crypto: bool,
     /// Reusable MAC-message buffer (shared across marks and packets).
     scratch: Vec<u8>,
     /// Reusable candidate-id buffer for anonymous-ID disambiguation.
@@ -403,7 +455,7 @@ pub struct SinkEngine {
     stages: StageMetrics,
     store: Option<EngineStore>,
     /// Trace context of the packet currently in the pipeline
-    /// ([`TraceContext::NONE`] outside [`SinkEngine::ingest_ctx`]):
+    /// ([`TraceContext::NONE`] for an untraced [`Arrival`]):
     /// stage spans open as its children, so one wire-carried context
     /// turns the whole staged pass into one correlated trace.
     current_ctx: TraceContext,
@@ -473,7 +525,6 @@ impl SinkEngine {
             table_cache: Vec::new(),
             table_cache_capacity: config.table_cache_capacity,
             table_build_threads: config.table_build_threads,
-            lane_crypto: config.lane_crypto,
             scratch: Vec::new(),
             cand_buf: Vec::new(),
             counters: SinkCounters::default(),
@@ -490,64 +541,22 @@ impl SinkEngine {
         }
     }
 
-    /// Runs one packet through the full pipeline, stamped with the report's
-    /// own timestamp (the simulators deliver reports stamped at send time).
-    pub fn ingest(&mut self, packet: &Packet) -> SinkOutcome {
-        self.ingest_at(packet, packet.report.timestamp)
-    }
-
-    /// Runs raw received bytes through the pipeline, stamped with the
-    /// decoded report's own timestamp.
-    ///
-    /// This entry point is **total**: bytes that fail wire decoding become
-    /// a counted [`RejectReason::Malformed`] outcome — never a panic, never
-    /// an `unwrap` on [`WireError`] — so the sink survives whatever a
-    /// corrupting channel delivers.
-    pub fn ingest_bytes(&mut self, bytes: &[u8]) -> SinkOutcome {
-        match Packet::from_bytes(bytes) {
-            Ok(packet) => {
-                let now_us = packet.report.timestamp;
-                self.ingest_at(&packet, now_us)
-            }
-            Err(e) => self.reject_malformed(e),
-        }
-    }
-
-    /// [`SinkEngine::ingest_bytes`] with an explicit arrival clock for the
-    /// classifier's rate window.
-    pub fn ingest_bytes_at(&mut self, bytes: &[u8], now_us: u64) -> SinkOutcome {
-        match Packet::from_bytes(bytes) {
-            Ok(packet) => self.ingest_at(&packet, now_us),
-            Err(e) => self.reject_malformed(e),
-        }
-    }
-
-    fn reject_malformed(&mut self, error: WireError) -> SinkOutcome {
-        self.counters.packets += 1;
-        self.counters.malformed += 1;
-        SinkOutcome {
-            verdict: None,
-            chain: None,
-            reject: Some(RejectReason::Malformed(error)),
-        }
-    }
-
-    /// Runs one packet through the full pipeline with an explicit arrival
-    /// clock for the classifier's rate window.
-    pub fn ingest_at(&mut self, packet: &Packet, now_us: u64) -> SinkOutcome {
-        self.ingest_ctx(packet, now_us, TraceContext::NONE)
-    }
-
-    /// [`SinkEngine::ingest_at`] inside a caller-supplied trace context.
+    /// Runs one arrival through the full pipeline. A bare `&Packet`
+    /// converts into the default [`Arrival`]: stamped with the report's own
+    /// timestamp, untraced.
     ///
     /// With a traced context and an attached tracer, the pass opens one
-    /// `sink.ingest` span as a child of `ctx` and every stage span
+    /// `sink.ingest` span as a child of the context and every stage span
     /// (`sink.classify` … `sink.localize`) opens under it — so a context
-    /// carried from the gateway wire renders the packet's whole shard
-    /// pass inside its originating trace. With [`TraceContext::NONE`]
-    /// (or no tracer) this is byte-for-byte [`SinkEngine::ingest_at`]:
-    /// counters, outcomes, and evidence never depend on tracing.
-    pub fn ingest_ctx(&mut self, packet: &Packet, now_us: u64, ctx: TraceContext) -> SinkOutcome {
+    /// carried from the gateway wire renders the packet's whole shard pass
+    /// inside its originating trace. Counters, outcomes, and evidence never
+    /// depend on tracing.
+    pub fn ingest<'a>(&mut self, arrival: impl Into<Arrival<&'a Packet>>) -> SinkOutcome {
+        let Arrival {
+            packet,
+            now_us,
+            ctx,
+        } = arrival.into();
         let ingest_span = if ctx.is_traced() && self.tracer.enabled() {
             let span = self.tracer.span_in("sink.ingest", ctx);
             self.current_ctx = span.context().unwrap_or(TraceContext::NONE);
@@ -561,7 +570,29 @@ impl SinkEngine {
         outcome
     }
 
-    /// The staged pipeline body shared by every ingest entry point.
+    /// Runs raw received bytes through the pipeline, stamped with the
+    /// decoded report's own timestamp.
+    ///
+    /// This entry point is **total**: bytes that fail wire decoding become
+    /// a counted [`RejectReason::Malformed`] outcome — never a panic, never
+    /// an `unwrap` on [`WireError`] — so the sink survives whatever a
+    /// corrupting channel delivers.
+    pub fn ingest_bytes(&mut self, bytes: &[u8]) -> SinkOutcome {
+        match Packet::from_bytes(bytes) {
+            Ok(packet) => self.ingest(&packet),
+            Err(error) => {
+                self.counters.packets += 1;
+                self.counters.malformed += 1;
+                SinkOutcome {
+                    verdict: None,
+                    chain: None,
+                    reject: Some(RejectReason::Malformed(error)),
+                }
+            }
+        }
+    }
+
+    /// The staged pipeline body behind [`SinkEngine::ingest`].
     fn ingest_staged(&mut self, packet: &Packet, now_us: u64) -> SinkOutcome {
         self.counters.packets += 1;
         let ctx = self.current_ctx;
@@ -673,18 +704,6 @@ impl SinkEngine {
         }
     }
 
-    /// Runs a batch of packets through the pipeline.
-    ///
-    /// Batch ingestion is the same staged path as [`SinkEngine::ingest`] —
-    /// outcomes and counters are byte-identical to ingesting the packets one
-    /// by one on this engine — but because the engine's table cache and
-    /// scratch buffers persist across the batch, `k` distinct reports cost
-    /// `k` anonymous-ID table builds regardless of batch size, where `n`
-    /// independent single-packet sinks would pay `n`.
-    pub fn ingest_batch(&mut self, packets: &[Packet]) -> Vec<SinkOutcome> {
-        packets.iter().map(|p| self.ingest(p)).collect()
-    }
-
     /// Folds another engine's accumulated evidence into this one: counters
     /// sum, route graphs union ([`RouteReconstructor::merge`]), and
     /// quarantine sets union ([`QuarantineFilter::merge`]).
@@ -777,22 +796,13 @@ impl SinkEngine {
         let idx = self.lookup_or_build_table(&report_bytes);
         drop(resolve_span);
         let resolve_ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        // Stage every mark's candidate MAC message, check all tags in one
+        // lane-parallel sweep, then replay the stop-at-first-invalid walk.
+        // Verdict-identical to the scalar walk (pinned by test).
         let table = &self.table_cache[idx].1;
-        let chain = if self.lane_crypto {
-            // Batched path: stage every mark's candidate MAC message, check
-            // all tags in one lane-parallel sweep, then replay the
-            // stop-at-first-invalid walk. Verdict-identical to the scalar
-            // walk (pinned by test).
-            self.verifier
-                .verify_batched_impl(packet, table, &mut self.scratch)
-        } else {
-            self.verifier.verify_nested_with(
-                packet,
-                &mut self.scratch,
-                &mut self.cand_buf,
-                &mut |aid, _anchor, out| out.extend_from_slice(table.resolve(aid)),
-            )
-        };
+        let chain = self
+            .verifier
+            .verify_batched_impl(packet, table, &mut self.scratch);
         (chain, resolve_ns)
     }
 
@@ -812,15 +822,11 @@ impl SinkEngine {
             let entry = self.table_cache.remove(pos);
             self.table_cache.push(entry);
         } else {
-            let table = if self.lane_crypto {
-                AnonTable::build_parallel_lanes_with(
-                    &self.keys.schedule(),
-                    report_bytes,
-                    self.table_build_threads,
-                )
-            } else {
-                AnonTable::build_parallel(&self.keys, report_bytes, self.table_build_threads)
-            };
+            let table = AnonTable::build_parallel_lanes_with(
+                &self.keys.schedule(),
+                report_bytes,
+                self.table_build_threads,
+            );
             self.counters.table_builds += 1;
             self.counters.hash_count += table.hash_count;
             self.tracer
@@ -1266,11 +1272,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_and_beats_fresh_engines() {
+    fn shared_engine_beats_fresh_engines() {
         // The acceptance workload: multiple packets carrying few distinct
-        // reports. Batch ingestion must equal sequential ingestion exactly
-        // and spend strictly fewer anon-ID hash evaluations than N
-        // independent single-packet sinks.
+        // reports. One engine over the stream must spend strictly fewer
+        // anon-ID hash evaluations than N independent single-packet sinks.
         let n = 12u16;
         let ks = keys(n);
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
@@ -1281,15 +1286,10 @@ mod tests {
             .collect();
         let workload: Vec<Packet> = (0..6).map(|i| base[i % 2].clone()).collect();
 
-        let mut seq = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
-        let seq_out: Vec<SinkOutcome> = workload.iter().map(|p| seq.ingest(p)).collect();
-
         let mut batch = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
-        let batch_out = batch.ingest_batch(&workload);
-
-        assert_eq!(seq_out, batch_out);
-        assert_eq!(seq.counters(), batch.counters());
-        assert_eq!(seq.localize(), batch.localize());
+        for p in &workload {
+            batch.ingest(p);
+        }
 
         let fresh_total: usize = workload
             .iter()
@@ -1601,13 +1601,13 @@ mod tests {
             .collect();
 
         let mut serial = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
-        let serial_out = serial.ingest_batch(&packets);
+        let serial_out: Vec<SinkOutcome> = packets.iter().map(|p| serial.ingest(p)).collect();
 
         let mut threaded = SinkEngine::new(
             Arc::clone(&ks),
             SinkConfig::new(VerifyMode::Nested).table_build_threads(4),
         );
-        let threaded_out = threaded.ingest_batch(&packets);
+        let threaded_out: Vec<SinkOutcome> = packets.iter().map(|p| threaded.ingest(p)).collect();
 
         assert_eq!(serial_out, threaded_out);
         assert_eq!(serial.counters(), threaded.counters());
@@ -1702,7 +1702,7 @@ mod tests {
     /// every stage span a child of `sink.ingest`, all in the same
     /// trace — and the outcome is identical to the untraced pass.
     #[test]
-    fn ingest_ctx_correlates_stage_spans_under_one_trace() {
+    fn traced_arrival_correlates_stage_spans_under_one_trace() {
         let n = 8u16;
         let ks = keys(n);
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
@@ -1719,7 +1719,7 @@ mod tests {
             let root = tracer.span_root("client.send");
             root.context().expect("recording")
         };
-        let traced_out = traced.ingest_ctx(&pkt, pkt.report.timestamp, wire_ctx);
+        let traced_out = traced.ingest(Arrival::new(&pkt).traced(wire_ctx));
         assert_eq!(plain_out, traced_out);
         assert_eq!(plain.counters(), traced.counters());
 
@@ -1823,12 +1823,13 @@ mod lane_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Engine-level pin for the batched verify path: with `lane_crypto` on
-    /// (the default) and off, every outcome, counter, and stage-sample
-    /// count matches — including tampered chains, where the batched sweep
-    /// must replay the scalar walk's stop-at-first-invalid semantics.
+    /// Engine-level pin for the batched verify path: every chain matches
+    /// the scalar reference walk over a serially built table — including
+    /// tampered chains, where the batched sweep must replay the scalar
+    /// walk's stop-at-first-invalid semantics — and the counters and
+    /// stage samples add up to exactly those chains.
     #[test]
-    fn lane_crypto_matches_scalar_engine() {
+    fn engine_matches_scalar_oracle() {
         let keys = Arc::new(KeyStore::derive_from_master(b"lane-sink", 12));
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
@@ -1860,21 +1861,23 @@ mod lane_tests {
         }
 
         let cfg = SinkConfig::new(VerifyMode::Nested).stage_timing(true);
-        let mut lanes = SinkEngine::new(Arc::clone(&keys), cfg.clone());
-        let mut scalar = SinkEngine::new(Arc::clone(&keys), cfg.lane_crypto(false));
+        let mut engine = SinkEngine::new(Arc::clone(&keys), cfg);
+        let oracle = SinkVerifier::new(Arc::clone(&keys));
+        let (mut verified, mut rejected) = (0, 0);
         for pkt in &packets {
-            assert_eq!(lanes.ingest(pkt), scalar.ingest(pkt));
+            let want = oracle.verify_nested_scalar(pkt);
+            verified += want.nodes.len();
+            rejected += want.total_marks - want.nodes.len();
+            assert_eq!(engine.ingest(pkt).chain, Some(want));
         }
-        assert_eq!(lanes.counters(), scalar.counters());
-        assert_eq!(lanes.unequivocal_source(), scalar.unequivocal_source());
-        // Stage histograms saw the same packets (sample values differ —
-        // they are wall-clock — but every stage recorded equally often).
-        for ((name, a), (_, b)) in lanes
-            .stage_metrics()
-            .iter()
-            .zip(scalar.stage_metrics().iter())
-        {
-            assert_eq!(a.count(), b.count(), "stage {name}");
+        let c = engine.counters();
+        assert_eq!((c.marks_verified, c.marks_rejected), (verified, rejected));
+        assert_eq!(c.table_builds + c.table_cache_hits, packets.len());
+        assert_eq!(c.hash_count, c.table_builds * 12);
+        // Every stage recorded once per packet (sample values are
+        // wall-clock).
+        for (name, h) in engine.stage_metrics().iter() {
+            assert_eq!(h.count(), packets.len() as u64, "stage {name}");
         }
     }
 }
@@ -1943,13 +1946,15 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `ingest_batch` is observably identical to per-packet `ingest`
-        /// across random scenarios and every verify mode: same chains, same
-        /// localization, same counters. On nested multi-packet same-report
-        /// workloads it additionally performs strictly fewer anon-ID hash
-        /// evaluations than N independent single-packet engines.
+        /// The engine's fast paths are pure optimizations across random
+        /// scenarios and every verify mode: every chain equals the scalar
+        /// reference walk, and 4 table-build threads change no outcome,
+        /// counter, or localization. On nested multi-packet same-report
+        /// workloads one engine additionally performs strictly fewer
+        /// anon-ID hash evaluations than N independent single-packet
+        /// engines.
         #[test]
-        fn batch_equals_sequential_ingest(
+        fn engine_matches_threaded_and_scalar_oracle(
             scheme_idx in 0usize..5,
             path_len in 2u16..14,
             n_packets in 1usize..10,
@@ -1958,17 +1963,19 @@ mod proptests {
         ) {
             let (keys, mode, packets) = scenario(scheme_idx, path_len, n_packets, n_reports, seed);
 
-            let mut seq = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(mode));
-            let seq_out: Vec<SinkOutcome> = packets.iter().map(|p| seq.ingest(p)).collect();
-
             let mut batch = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(mode));
-            let batch_out = batch.ingest_batch(&packets);
+            let batch_out: Vec<SinkOutcome> = packets.iter().map(|p| batch.ingest(p)).collect();
 
-            prop_assert_eq!(&seq_out, &batch_out);
-            prop_assert_eq!(seq.counters(), batch.counters());
-            prop_assert_eq!(seq.localize(), batch.localize());
-            prop_assert_eq!(seq.unequivocal_source(), batch.unequivocal_source());
-            prop_assert_eq!(seq.first_unequivocal(), batch.first_unequivocal());
+            // Lane-parallel verify and resolve reproduce the scalar walk
+            // chain for chain.
+            let oracle = SinkVerifier::new(Arc::clone(&keys));
+            for (p, out) in packets.iter().zip(&batch_out) {
+                let want = match mode {
+                    VerifyMode::Nested => oracle.verify_nested_scalar(p),
+                    _ => oracle.verify(p, mode),
+                };
+                prop_assert_eq!(out.chain.as_ref(), Some(&want));
+            }
 
             // Parallel anon-table builds are a pure optimization: an engine
             // building tables with 4 worker threads produces byte-identical
@@ -1977,22 +1984,13 @@ mod proptests {
                 Arc::clone(&keys),
                 SinkConfig::new(mode).table_build_threads(4),
             );
-            let threaded_out = threaded.ingest_batch(&packets);
+            let threaded_out: Vec<SinkOutcome> =
+                packets.iter().map(|p| threaded.ingest(p)).collect();
             prop_assert_eq!(&batch_out, &threaded_out);
             prop_assert_eq!(batch.counters(), threaded.counters());
             prop_assert_eq!(batch.localize(), threaded.localize());
-
-            // Lane-parallel crypto (the default) is likewise a pure
-            // optimization: disabling it selects the scalar verify/resolve
-            // path with byte-identical outcomes, counters, and localization.
-            let mut scalar = SinkEngine::new(
-                Arc::clone(&keys),
-                SinkConfig::new(mode).lane_crypto(false),
-            );
-            let scalar_out = scalar.ingest_batch(&packets);
-            prop_assert_eq!(&batch_out, &scalar_out);
-            prop_assert_eq!(batch.counters(), scalar.counters());
-            prop_assert_eq!(batch.localize(), scalar.localize());
+            prop_assert_eq!(batch.unequivocal_source(), threaded.unequivocal_source());
+            prop_assert_eq!(batch.first_unequivocal(), threaded.first_unequivocal());
 
             // Strict amortization vs independent engines whenever the
             // workload actually repeats a report under nested verification

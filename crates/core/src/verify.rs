@@ -222,8 +222,9 @@ impl FromIterator<u16> for CandidateSet {
 /// collision can never cause a wrong attribution.
 ///
 /// Builds run off the keystore's precomputed [`KeySchedule`] in ascending
-/// id order, so serial and parallel construction yield identical tables
-/// (`assert_eq!` holds; see [`AnonTable::build_parallel`]).
+/// id order, so the scalar reference build ([`AnonTable::build_with`]) and
+/// the lane- and thread-parallel builds yield identical tables
+/// (`assert_eq!` holds; see [`AnonTable::build_parallel_lanes_with`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct AnonTable {
     map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher>,
@@ -232,12 +233,9 @@ pub struct AnonTable {
 }
 
 impl AnonTable {
-    /// Builds the table for one report over every provisioned node.
-    pub fn build(keys: &KeyStore, report_bytes: &[u8]) -> Self {
-        Self::build_with(&keys.schedule(), report_bytes)
-    }
-
-    /// [`AnonTable::build`] over an already-shared [`KeySchedule`].
+    /// Builds the table for one report over every provisioned node, one
+    /// `H'` evaluation at a time. This is the scalar reference the
+    /// lane-parallel builds are proven against.
     pub fn build_with(schedule: &KeySchedule, report_bytes: &[u8]) -> Self {
         let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
             HashMap::with_capacity_and_hasher(schedule.len(), AnonIdBuildHasher);
@@ -250,31 +248,19 @@ impl AnonTable {
         AnonTable { map, hash_count }
     }
 
-    /// Builds the table with `threads` workers over contiguous shards of
-    /// the id space, producing a table identical to [`AnonTable::build`]
-    /// (same map, same `hash_count`).
-    ///
-    /// Each worker hashes one ascending-id shard; shards are merged in
-    /// shard order, so collision candidate lists come out in the same
-    /// ascending order the serial build produces. `threads <= 1` (or a
-    /// near-empty schedule) falls back to the serial build. Uses
-    /// [`std::thread::scope`] — no extra dependencies, and worker panics
-    /// propagate to the caller.
-    pub fn build_parallel(keys: &KeyStore, report_bytes: &[u8], threads: usize) -> Self {
-        Self::build_parallel_with(&keys.schedule(), report_bytes, threads)
-    }
-
     /// Minimum schedule size at which thread-parallel table builds pay off.
     ///
     /// Below this, spawn + join overhead exceeds the hashing work and the
     /// thread-parallel build is *slower* than serial (measured: 120 µs
-    /// parallel vs 68 µs serial at 100 nodes, `BENCH_crypto.json` PR 7), so
+    /// parallel vs 68 µs serial at 100 nodes), so
     /// [`AnonTable::parallel_workers`] falls back to one worker. Small
     /// tables are lane-shaped, not thread-shaped: the SIMD lane build
-    /// ([`AnonTable::build_lanes`]) speeds them up with zero dispatch cost.
+    /// ([`AnonTable::build_lanes_with`]) speeds them up with zero dispatch
+    /// cost.
     pub const PARALLEL_MIN_NODES: usize = 512;
 
-    /// Number of workers [`AnonTable::build_parallel`] actually dispatches
+    /// Number of workers [`AnonTable::build_parallel_lanes_with`] actually
+    /// dispatches
     /// for a schedule of `n` keys and a requested `threads` count: one for
     /// the serial fallback (`threads <= 1` or `n` below
     /// [`AnonTable::PARALLEL_MIN_NODES`]), otherwise one per shard,
@@ -290,75 +276,15 @@ impl AnonTable {
         }
     }
 
-    /// [`AnonTable::build_parallel`] over an already-shared [`KeySchedule`].
-    pub fn build_parallel_with(
-        schedule: &KeySchedule,
-        report_bytes: &[u8],
-        threads: usize,
-    ) -> Self {
-        let n = schedule.len();
-        if Self::parallel_workers(n, threads) == 1 {
-            return Self::build_with(schedule, report_bytes);
-        }
-        fn hash_shard(
-            ids: &[u16],
-            keys: &[pnm_crypto::HmacKey],
-            report_bytes: &[u8],
-        ) -> Vec<(AnonId, u16)> {
-            ids.iter()
-                .zip(keys)
-                .map(|(&id, key)| (anon_id_prepared(key, report_bytes, id), id))
-                .collect()
-        }
-        let chunk = n.div_ceil(Self::parallel_workers(n, threads));
-        let shards: Vec<Vec<(AnonId, u16)>> = std::thread::scope(|scope| {
-            let mut chunks = schedule
-                .ids()
-                .chunks(chunk)
-                .zip(schedule.prepared().chunks(chunk));
-            // The calling thread works the first shard itself; only the
-            // remaining shards cost a spawn.
-            let own = chunks.next();
-            let handles: Vec<_> = chunks
-                .map(|(ids, keys)| scope.spawn(move || hash_shard(ids, keys, report_bytes)))
-                .collect();
-            let mut shards = Vec::with_capacity(handles.len() + 1);
-            if let Some((ids, keys)) = own {
-                shards.push(hash_shard(ids, keys, report_bytes));
-            }
-            shards.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("anon-table shard worker panicked")),
-            );
-            shards
-        });
-        let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
-            HashMap::with_capacity_and_hasher(n, AnonIdBuildHasher);
-        let mut hash_count = 0;
-        for shard in shards {
-            for (aid, id) in shard {
-                hash_count += 1;
-                map.entry(aid).or_default().push(id);
-            }
-        }
-        AnonTable { map, hash_count }
-    }
-
     /// Builds the table with the lane-parallel SIMD engine
     /// ([`pnm_crypto::Sha256xN`]): all `H'` evaluations for the report run
     /// as one batched call, 4/8 messages per compression. Map- and
-    /// `hash_count`-identical to [`AnonTable::build`] (pinned by test and
-    /// proptest).
+    /// `hash_count`-identical to [`AnonTable::build_with`] (pinned by test
+    /// and proptest).
     ///
     /// This is the right shape for small schedules where thread dispatch
     /// costs more than it saves (see [`AnonTable::PARALLEL_MIN_NODES`]):
     /// lanes have zero dispatch overhead.
-    pub fn build_lanes(keys: &KeyStore, report_bytes: &[u8]) -> Self {
-        Self::build_lanes_with(&keys.schedule(), report_bytes)
-    }
-
-    /// [`AnonTable::build_lanes`] over an already-shared [`KeySchedule`].
     pub fn build_lanes_with(schedule: &KeySchedule, report_bytes: &[u8]) -> Self {
         let aids = anon_id_many_prepared(schedule.prepared(), report_bytes, schedule.ids());
         let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
@@ -509,10 +435,12 @@ impl SinkVerifier {
         }
     }
 
-    /// Nested verification with a pre-built anonymous-ID table (reuse the
-    /// table across marks of the same packet; the caller may also share it
-    /// across packets carrying the same report).
-    pub fn verify_nested_with_table(&self, packet: &Packet, table: &AnonTable) -> VerifiedChain {
+    /// The scalar reference walk: a serially built table
+    /// ([`AnonTable::build_with`]) and one MAC check at a time. Test
+    /// oracle for the lane-parallel path the engine runs.
+    #[cfg(test)]
+    pub(crate) fn verify_nested_scalar(&self, packet: &Packet) -> VerifiedChain {
+        let table = AnonTable::build_with(&self.schedule, &packet.report.to_bytes());
         self.verify_nested_with(
             packet,
             &mut Vec::new(),
@@ -521,7 +449,9 @@ impl SinkVerifier {
         )
     }
 
-    /// [`SinkVerifier::verify_nested_with_table`] with lane-parallel MAC
+    /// Nested verification with a pre-built anonymous-ID table (reuse the
+    /// table across marks of the same packet; the caller may also share it
+    /// across packets carrying the same report) and lane-parallel MAC
     /// checking: collects every mark's candidate `(key, message, tag)` job
     /// along the backward walk first, computes all MACs in one batched
     /// [`pnm_crypto::verify_mark_macs_prepared`] call (4/8 lanes per
@@ -1120,9 +1050,9 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let pkt = marked_packet(&keys, &scheme, 15, 3);
         let verifier = SinkVerifier::new(keys.clone());
-        let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+        let table = AnonTable::build_with(&keys.schedule(), &pkt.report.to_bytes());
         assert_eq!(table.hash_count, 15);
-        let with_table = verifier.verify_nested_with_table(&pkt, &table);
+        let with_table = verifier.verify_nested_with_table_batched(&pkt, &table);
         let without = verifier.verify(&pkt, VerifyMode::Nested);
         assert_eq!(with_table, without);
     }
@@ -1205,7 +1135,7 @@ mod tests {
     fn anon_table_resolves_every_node() {
         let keys = keystore(100);
         let rb = report().to_bytes();
-        let table = AnonTable::build(&keys, &rb);
+        let table = AnonTable::build_with(&keys.schedule(), &rb);
         assert!(!table.is_empty());
         for (id, key) in keys.iter() {
             let aid = anon_id(key, &rb, id);
@@ -1304,20 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let rb = report().to_bytes();
-        for n in [0u16, 1, 2, 7, 100] {
-            let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &rb);
-            for threads in [1usize, 2, 3, 4, 8, 200] {
-                let parallel = AnonTable::build_parallel(&keys, &rb, threads);
-                assert_eq!(serial, parallel, "n={n}, threads={threads}");
-                assert_eq!(parallel.hash_count, n as usize);
-            }
-        }
-    }
-
-    #[test]
     fn parallel_build_keeps_collision_order() {
         // Two distinct real ids behind one AnonId: the shared-key collision
         // below forces every node to the same anonymous id, so candidate
@@ -1325,14 +1241,14 @@ mod tests {
         let shared = MacKey::derive(b"collide", 0);
         let keys: KeyStore = (0..16u16).map(|i| (i, shared)).collect();
         let rb = report().to_bytes();
-        let serial = AnonTable::build(&keys, &rb);
+        let serial = AnonTable::build_with(&keys.schedule(), &rb);
         assert_eq!(serial.len(), 16, "same key, distinct ids: no collision");
         // Genuine collisions need identical (key, id) inputs, impossible
         // across distinct ids — so check ordering through the table that
         // CAN collide: identical ids can't repeat in a KeyStore, so instead
         // assert the serial/parallel maps agree entry-for-entry.
         for threads in 2..=8 {
-            let parallel = AnonTable::build_parallel(&keys, &rb, threads);
+            let parallel = AnonTable::build_parallel_lanes_with(&keys.schedule(), &rb, threads);
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -1367,11 +1283,11 @@ mod tests {
         let rb = report().to_bytes();
         for n in [0u16, 1, 2, 7, 100, 600] {
             let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &rb);
-            let lanes = AnonTable::build_lanes(&keys, &rb);
+            let serial = AnonTable::build_with(&keys.schedule(), &rb);
+            let lanes = AnonTable::build_lanes_with(&keys.schedule(), &rb);
             assert_eq!(serial, lanes, "n={n}");
             assert_eq!(lanes.hash_count, n as usize);
-            for threads in [1usize, 2, 4, 8] {
+            for threads in [1usize, 2, 3, 4, 8, 200] {
                 let sharded = AnonTable::build_parallel_lanes_with(&keys.schedule(), &rb, threads);
                 assert_eq!(serial, sharded, "n={n}, threads={threads}");
                 assert_eq!(sharded.hash_count, n as usize);
@@ -1405,10 +1321,10 @@ mod tests {
                     variants.push(p);
                 }
                 for pkt in &variants {
-                    let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+                    let table = AnonTable::build_with(&keys.schedule(), &pkt.report.to_bytes());
                     assert_eq!(
                         verifier.verify_nested_with_table_batched(pkt, &table),
-                        verifier.verify_nested_with_table(pkt, &table),
+                        verifier.verify_nested_scalar(pkt),
                         "seed={seed}"
                     );
                 }
@@ -1420,12 +1336,12 @@ mod tests {
     fn batched_verify_handles_empty_and_unknown() {
         let keys = keystore(4);
         let verifier = SinkVerifier::new(keys.clone());
-        let table = AnonTable::build(&keys, &report().to_bytes());
+        let table = AnonTable::build_with(&keys.schedule(), &report().to_bytes());
         // Empty packet.
         let empty = Packet::new(report());
         assert_eq!(
             verifier.verify_nested_with_table_batched(&empty, &table),
-            verifier.verify_nested_with_table(&empty, &table)
+            verifier.verify_nested_scalar(&empty)
         );
         // Unknown plain id and unresolvable anon id.
         let scheme = NestedMarking::new(MarkingConfig::default());
@@ -1439,26 +1355,11 @@ mod tests {
         pkt.push_mark(Mark::anon(AnonId::from_bytes([0xEE; 8]), mac2));
         assert_eq!(
             verifier.verify_nested_with_table_batched(&pkt, &table),
-            verifier.verify_nested_with_table(&pkt, &table)
+            verifier.verify_nested_scalar(&pkt)
         );
     }
 
     proptest! {
-        /// `build_parallel` is map-identical to the serial build for any
-        /// report bytes, network size, and thread count 1..=8.
-        #[test]
-        fn prop_parallel_table_equals_serial(
-            report in proptest::collection::vec(any::<u8>(), 0..64),
-            n in 0u16..64,
-            threads in 1usize..=8,
-        ) {
-            let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &report);
-            let parallel = AnonTable::build_parallel(&keys, &report, threads);
-            prop_assert_eq!(&serial, &parallel);
-            prop_assert_eq!(parallel.hash_count, n as usize);
-        }
-
         /// The lane-parallel table build is map- and count-identical to the
         /// serial build for any report and population, alone and under
         /// thread sharding.
@@ -1469,8 +1370,9 @@ mod tests {
             threads in 1usize..=8,
         ) {
             let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &report);
-            prop_assert_eq!(&serial, &AnonTable::build_lanes(&keys, &report));
+            let serial = AnonTable::build_with(&keys.schedule(), &report);
+            prop_assert_eq!(serial.hash_count, n as usize);
+            prop_assert_eq!(&serial, &AnonTable::build_lanes_with(&keys.schedule(), &report));
             prop_assert_eq!(
                 &serial,
                 &AnonTable::build_parallel_lanes_with(&keys.schedule(), &report, threads)
@@ -1502,10 +1404,10 @@ mod tests {
                 }
             }
             let verifier = SinkVerifier::new(keys.clone());
-            let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+            let table = AnonTable::build_with(&keys.schedule(), &pkt.report.to_bytes());
             prop_assert_eq!(
                 verifier.verify_nested_with_table_batched(&pkt, &table),
-                verifier.verify_nested_with_table(&pkt, &table)
+                verifier.verify_nested_scalar(&pkt)
             );
         }
     }

@@ -160,7 +160,7 @@ impl Extend<(u16, MacKey)> for KeyStore {
 /// One [`HmacKey`] per node: the RFC 2104 inner/outer pad blocks are
 /// compressed once here instead of on every MAC. The parallel anon-table
 /// builder additionally relies on the ascending order to shard the id space
-/// deterministically (`pnm-core::verify::AnonTable::build_parallel`).
+/// deterministically (`pnm-core::verify::AnonTable::build_parallel_lanes_with`).
 #[derive(Clone, Debug)]
 pub struct KeySchedule {
     /// Provisioned ids, ascending.

@@ -3,7 +3,7 @@
 //! Used by the benches, the integration tests, and the README quickstart;
 //! also a reference implementation for anyone speaking the envelope
 //! protocol from another language. One connection, requests answered in
-//! order, [`ingest`](GatewayClient::ingest) pipelined with no response.
+//! order; [`ingest_seq`](GatewayClient::ingest_seq) waits for each ack.
 //!
 //! The client is transport-generic ([`Transport`]): the connect helpers
 //! build TCP/UDS streams with [`ClientConfig`] timeouts applied in one
@@ -17,7 +17,9 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use crate::envelope::{Envelope, IngestAck, OpCode, Response, Status};
+use pnm_obs::TraceContext;
+
+use crate::envelope::{Envelope, IngestAck, OpCode, Response, SeqFrame, Status};
 use crate::tenant::DrainVerdict;
 use crate::transport::Transport;
 
@@ -133,73 +135,38 @@ impl GatewayClient {
         Ok(Self::from_transport(transport))
     }
 
-    /// Sends one canonical packet for `tenant`. Fire-and-forget: returns
-    /// as soon as the kernel accepts the frame; admission outcomes are
-    /// visible in the gateway's metrics, not per packet.
-    pub fn ingest(&mut self, tenant: &[u8], packet_bytes: &[u8]) -> io::Result<()> {
-        self.transport
-            .write_all(&Envelope::ingest(tenant, packet_bytes).encode())
-    }
-
     /// Sends one **sequenced** packet and waits for its [`IngestAck`] —
-    /// the acked, exactly-once delivery path. The ack is integrity-checked
-    /// (CRC) and its echoed sequence number verified against `seq`, so a
-    /// damaged or misattributed ack surfaces as `InvalidData` (retryable
-    /// by reconnecting) rather than being trusted.
+    /// the acked, exactly-once delivery path. A traced `ctx` rides the
+    /// frame ([`crate::OpCode::IngestTraced`]) so the server's spans join
+    /// the client's trace; [`TraceContext::NONE`] sends a plain
+    /// `IngestSeq` frame.
+    ///
+    /// The ack is integrity-checked (CRC), and its echoed sequence number
+    /// and trace id are verified against the request, so a damaged or
+    /// misattributed ack surfaces as `InvalidData` (retryable by
+    /// reconnecting) rather than being trusted — and cannot close the
+    /// wrong trace.
     pub fn ingest_seq(
         &mut self,
         tenant: &[u8],
         session: u64,
         seq: u64,
+        ctx: TraceContext,
         packet_bytes: &[u8],
     ) -> io::Result<IngestAck> {
-        let payload = self.request(Envelope::ingest_seq(tenant, session, seq, packet_bytes))?;
+        let frame = SeqFrame::new(session, seq, packet_bytes).traced(ctx);
+        let payload = self.request(Envelope::sequenced(tenant, &frame))?;
         let ack = IngestAck::decode(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        // Corrupt/UnknownTenant acks echo seq 0: the server could not
-        // trust (or find) the frame's own numbers.
+        // Corrupt acks echo seq 0 and no trace: the server could not trust
+        // the frame's own numbers. Every other ack echoes both.
         if ack.seq != seq && ack.seq != 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("ack echoes seq {} for request seq {seq}", ack.seq),
             ));
         }
-        Ok(ack)
-    }
-
-    /// Sends one **traced** sequenced packet and waits for its
-    /// [`IngestAck`] — [`ingest_seq`](Self::ingest_seq) carrying the
-    /// client's trace context (`trace`, `parent`) across the wire. The
-    /// ack's echoed trace id is verified against `trace` in addition to
-    /// the sequence check, so an ack cannot close the wrong trace.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ingest_traced(
-        &mut self,
-        tenant: &[u8],
-        trace: u64,
-        parent: u64,
-        session: u64,
-        seq: u64,
-        packet_bytes: &[u8],
-    ) -> io::Result<IngestAck> {
-        let payload = self.request(Envelope::ingest_traced(
-            tenant,
-            trace,
-            parent,
-            session,
-            seq,
-            packet_bytes,
-        ))?;
-        let ack = IngestAck::decode(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if ack.seq != seq && ack.seq != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ack echoes seq {} for request seq {seq}", ack.seq),
-            ));
-        }
-        // Corrupt acks (seq 0) carry no trace; everything else must echo
-        // ours.
+        let trace = ctx.trace;
         if ack.trace != trace && ack.seq != 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -1,8 +1,9 @@
 //! The gateway's framed envelope protocol.
 //!
 //! Every request on a gateway connection is one length-prefixed frame
-//! carrying `pnm-wire` canonical packet bytes (or nothing, for control
-//! opcodes) plus a small envelope identifying the tenant:
+//! carrying a [`SeqFrame`] around `pnm-wire` canonical packet bytes (or
+//! nothing, for control opcodes) plus a small envelope identifying the
+//! tenant:
 //!
 //! ```text
 //! magic(2 = "PG") | version(1) | opcode(1) | tenant_len(1) | tenant |
@@ -27,19 +28,15 @@
 
 use std::fmt;
 
+use pnm_obs::TraceContext;
+
 /// Frame magic: `"PG"` (PNM gateway).
 pub const MAGIC: [u8; 2] = *b"PG";
 
-/// Protocol version this build speaks. Version 2 added the resilience
-/// opcodes ([`OpCode::IngestSeq`], [`OpCode::Health`], [`OpCode::Ready`]);
-/// version 3 adds the observability opcodes ([`OpCode::IngestTraced`],
-/// [`OpCode::Ops`]). Version-1 and version-2 frames are still decoded
-/// (see [`MIN_VERSION`]) so earlier clients keep working unchanged
-/// against a version-3 server.
+/// Protocol version this build speaks, and the only one it accepts:
+/// every frame it sends carries it, and a frame with any other version
+/// byte is a [`EnvelopeError::BadVersion`].
 pub const VERSION: u8 = 3;
-
-/// Oldest protocol version this build still accepts.
-pub const MIN_VERSION: u8 = 1;
 
 /// Fixed bytes before the tenant id: magic + version + opcode + tenant_len.
 pub const FIXED_HEADER: usize = 5;
@@ -56,9 +53,6 @@ pub const DEFAULT_MAX_PAYLOAD: usize = 1 << 20;
 /// What the client asks the gateway to do with a frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpCode {
-    /// Payload is one canonical packet; feed it to the tenant's pool.
-    /// Fire-and-forget: no response frame, rejections are counted.
-    Ingest = 0,
     /// Respond with the tenant's live service snapshot as JSON.
     Snapshot = 1,
     /// Respond with the whole gateway's Prometheus text exposition
@@ -70,7 +64,7 @@ pub enum OpCode {
     /// [`crate::DrainVerdict`]). Idempotent — a second drain returns the
     /// same bytes.
     Drain = 3,
-    /// Sequenced, acknowledged ingest (version 2). Payload is a
+    /// Sequenced, acknowledged ingest. Payload is an untraced
     /// [`SeqFrame`]: client session id, monotone sequence number, a
     /// CRC-32 binding both to the tenant and the packet bytes, then the
     /// canonical packet. Always answered with [`Status::Ok`] carrying an
@@ -78,22 +72,19 @@ pub enum OpCode {
     /// admission outcome, so a retried frame gets a structured
     /// `Duplicate`/`Busy`/`Drained` instead of a silent drop.
     IngestSeq = 4,
-    /// Liveness probe (version 2): answered `Ok` with `"ok"` as long as
-    /// the process serves frames, draining or not.
+    /// Liveness probe: answered `Ok` with `"ok"` as long as the process
+    /// serves frames, draining or not.
     Health = 5,
-    /// Readiness probe (version 2): `Ok` with `"ready"` while the gateway
-    /// accepts new work, `Rejected` with `"draining"` once graceful
-    /// shutdown has begun.
+    /// Readiness probe: `Ok` with `"ready"` while the gateway accepts new
+    /// work, `Rejected` with `"draining"` once graceful shutdown has begun.
     Ready = 6,
-    /// Sequenced, acknowledged **and traced** ingest (version 3). Payload
-    /// is a [`TracedFrame`]: a [`SeqFrame`] extended with a 64-bit trace
-    /// id and parent span id, so the client's causal context crosses the
-    /// wire and every span the gateway, shard queue, and sink emit for
-    /// this packet lands in one trace. Acked exactly like
-    /// [`OpCode::IngestSeq`], except the [`IngestAck`] echoes the trace
-    /// id back.
+    /// The same sequenced ingest, marking that the [`SeqFrame`] payload
+    /// carries the client's 16-byte trace context, so every span the
+    /// gateway, shard queue, and sink emit for this packet lands in the
+    /// client's trace. Acked exactly like [`OpCode::IngestSeq`], except
+    /// the [`IngestAck`] echoes the trace id back.
     IngestTraced = 7,
-    /// Live ops surface (version 3): respond `Ok` with the tenant's
+    /// Live ops surface: respond `Ok` with the tenant's
     /// health/SLO snapshot as JSON — rolling stage p99s, error-budget
     /// counters, backlog, and the last anomaly the tenant's flight
     /// recorder dumped. Tenant `*` returns every tenant keyed by id.
@@ -103,7 +94,6 @@ pub enum OpCode {
 impl OpCode {
     fn from_u8(v: u8) -> Option<Self> {
         match v {
-            0 => Some(OpCode::Ingest),
             1 => Some(OpCode::Snapshot),
             2 => Some(OpCode::MetricsText),
             3 => Some(OpCode::Drain),
@@ -115,43 +105,22 @@ impl OpCode {
             _ => None,
         }
     }
-
-    /// Whether `version` frames may carry this opcode (the resilience
-    /// opcodes require version 2, the observability opcodes version 3).
-    fn in_version(self, version: u8) -> bool {
-        match version {
-            0..=1 => (self as u8) <= OpCode::Drain as u8,
-            2 => (self as u8) <= OpCode::Ready as u8,
-            _ => true,
-        }
-    }
 }
 
 /// One decoded request frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope {
-    /// Protocol version (within [`MIN_VERSION`]..=[`VERSION`] after a
-    /// successful decode).
+    /// Protocol version ([`VERSION`] after a successful decode).
     pub version: u8,
     /// The requested operation.
     pub opcode: OpCode,
     /// Tenant id bytes (1..=[`MAX_TENANT_LEN`]).
     pub tenant: Vec<u8>,
-    /// Operation payload (canonical packet bytes for `Ingest`).
+    /// Operation payload (an encoded [`SeqFrame`] for the ingest opcodes).
     pub payload: Vec<u8>,
 }
 
 impl Envelope {
-    /// Builds an ingest frame for a tenant.
-    pub fn ingest(tenant: &[u8], packet_bytes: &[u8]) -> Self {
-        Envelope {
-            version: VERSION,
-            opcode: OpCode::Ingest,
-            tenant: tenant.to_vec(),
-            payload: packet_bytes.to_vec(),
-        }
-    }
-
     /// Builds a payload-less control frame.
     pub fn control(opcode: OpCode, tenant: &[u8]) -> Self {
         Envelope {
@@ -162,33 +131,22 @@ impl Envelope {
         }
     }
 
-    /// Builds a sequenced, acknowledged ingest frame (see [`SeqFrame`]).
-    pub fn ingest_seq(tenant: &[u8], session: u64, seq: u64, packet_bytes: &[u8]) -> Self {
+    /// Builds a sequenced, acknowledged ingest frame: opcode
+    /// [`OpCode::IngestTraced`] when `frame` carries a trace,
+    /// [`OpCode::IngestSeq`] otherwise.
+    pub fn sequenced(tenant: &[u8], frame: &SeqFrame) -> Self {
         Envelope {
             version: VERSION,
-            opcode: OpCode::IngestSeq,
+            opcode: frame.opcode(),
             tenant: tenant.to_vec(),
-            payload: SeqFrame::encode_payload(tenant, session, seq, packet_bytes),
+            payload: frame.encode(tenant),
         }
     }
 
-    /// Builds a sequenced, acknowledged, traced ingest frame (see
-    /// [`TracedFrame`]): `trace` is the client's 64-bit trace id and
-    /// `parent` the span id the server-side spans should hang under.
-    pub fn ingest_traced(
-        tenant: &[u8],
-        trace: u64,
-        parent: u64,
-        session: u64,
-        seq: u64,
-        packet_bytes: &[u8],
-    ) -> Self {
-        Envelope {
-            version: VERSION,
-            opcode: OpCode::IngestTraced,
-            tenant: tenant.to_vec(),
-            payload: TracedFrame::encode_payload(tenant, trace, parent, session, seq, packet_bytes),
-        }
+    /// Builds an untraced sequenced ingest frame:
+    /// [`Envelope::sequenced`] over [`SeqFrame::new`].
+    pub fn ingest_seq(tenant: &[u8], session: u64, seq: u64, packet_bytes: &[u8]) -> Self {
+        Self::sequenced(tenant, &SeqFrame::new(session, seq, packet_bytes))
     }
 
     /// Canonical frame encoding.
@@ -234,14 +192,11 @@ impl Envelope {
         if buf.len() >= 2 && buf[..2] != MAGIC {
             return Err(EnvelopeError::BadMagic([buf[0], buf[1]]));
         }
-        if buf.len() >= 3 && !(MIN_VERSION..=VERSION).contains(&buf[2]) {
+        if buf.len() >= 3 && buf[2] != VERSION {
             return Err(EnvelopeError::BadVersion(buf[2]));
         }
-        if buf.len() >= 4 {
-            match OpCode::from_u8(buf[3]) {
-                Some(op) if op.in_version(buf[2]) => {}
-                _ => return Err(EnvelopeError::BadOpcode(buf[3])),
-            }
+        if buf.len() >= 4 && OpCode::from_u8(buf[3]).is_none() {
+            return Err(EnvelopeError::BadOpcode(buf[3]));
         }
         if buf.len() >= 5 && (buf[4] == 0 || buf[4] as usize > MAX_TENANT_LEN) {
             return Err(EnvelopeError::BadTenantLen(buf[4]));
@@ -283,167 +238,141 @@ impl Envelope {
     }
 }
 
-/// The payload of an [`OpCode::IngestSeq`] frame:
+/// The payload of a sequenced ingest frame ([`OpCode::IngestSeq`], or
+/// [`OpCode::IngestTraced`] when it carries a trace):
 ///
 /// ```text
-/// session(8, BE) | seq(8, BE) | crc32(4, BE) | packet bytes
+/// [trace(8, BE) | parent(8, BE) |] session(8, BE) | seq(8, BE) |
+/// crc32(4, BE) | packet bytes
 /// ```
 ///
 /// `session` identifies one client instance for the lifetime of its
 /// retry state (it survives reconnects — that is the point); `seq` is
-/// the client's monotone per-session sequence number. The CRC is
-/// CRC-32/IEEE over `tenant | session(8) | seq(8) | packet`, binding the
-/// frame to its tenant so a bit-flipped tenant id (or session, sequence
-/// number, or packet byte) is detected end-to-end as `Corrupt` instead of
-/// being absorbed — the integrity check that makes "acked ≡ counted
-/// exactly once" hold under wire corruption.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeqFrame {
+/// the client's monotone per-session sequence number. The bracketed
+/// trace context is present exactly when the frame is traced, which the
+/// `IngestTraced` opcode marks: `trace` is the 64-bit trace id minted once
+/// per logical send (retries reuse it, so one packet is one trace no
+/// matter how many times the wire ate it), and `parent` is the client
+/// span the gateway's `gateway.ingest` span becomes a child of. Trace ids
+/// are never zero, so an untraced frame simply omits the 16 bytes.
+///
+/// The CRC is CRC-32/IEEE over `tenant | every header byte before the
+/// CRC | packet`, binding the frame to its tenant so a bit-flipped tenant
+/// id (or trace id, session, sequence number, or packet byte) is detected
+/// end-to-end as `Corrupt` instead of being absorbed — the integrity
+/// check that makes "acked ≡ counted exactly once" hold under wire
+/// corruption, and that keeps a damaged trace id from splicing the packet
+/// into someone else's trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeqFrame<'a> {
     /// Client session id (stable across reconnects).
     pub session: u64,
     /// Monotone per-session sequence number.
     pub seq: u64,
+    /// The client's trace context ([`TraceContext::NONE`] when untraced).
+    pub ctx: TraceContext,
     /// Canonical packet bytes.
-    pub packet: Vec<u8>,
+    pub packet: &'a [u8],
 }
 
-/// Fixed prefix of a [`SeqFrame`] payload: session + seq + crc.
-pub const SEQ_FRAME_HEADER: usize = 8 + 8 + 4;
+impl<'a> SeqFrame<'a> {
+    /// An untraced frame.
+    pub fn new(session: u64, seq: u64, packet: &'a [u8]) -> Self {
+        SeqFrame {
+            session,
+            seq,
+            ctx: TraceContext::NONE,
+            packet,
+        }
+    }
 
-impl SeqFrame {
-    fn crc(tenant: &[u8], session: u64, seq: u64, packet: &[u8]) -> u32 {
-        let mut bound = Vec::with_capacity(tenant.len() + 16 + packet.len());
+    /// The same frame carrying `ctx` across the wire.
+    pub fn traced(mut self, ctx: TraceContext) -> Self {
+        self.ctx = ctx;
+        self
+    }
+
+    /// The opcode that marks this frame's layout.
+    pub fn opcode(&self) -> OpCode {
+        if self.ctx.is_traced() {
+            OpCode::IngestTraced
+        } else {
+            OpCode::IngestSeq
+        }
+    }
+
+    /// Bytes before the CRC: the trace context when traced, then
+    /// session and seq.
+    fn fields_len(traced: bool) -> usize {
+        if traced {
+            TraceContext::WIRE_LEN + 16
+        } else {
+            16
+        }
+    }
+
+    fn crc(tenant: &[u8], fields: &[u8], packet: &[u8]) -> u32 {
+        let mut bound = Vec::with_capacity(tenant.len() + fields.len() + packet.len());
         bound.extend_from_slice(tenant);
-        bound.extend_from_slice(&session.to_be_bytes());
-        bound.extend_from_slice(&seq.to_be_bytes());
+        bound.extend_from_slice(fields);
         bound.extend_from_slice(packet);
         pnm_core::store::crc32(&bound)
     }
 
-    /// Encodes the payload for [`Envelope::ingest_seq`].
-    pub fn encode_payload(tenant: &[u8], session: u64, seq: u64, packet: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(SEQ_FRAME_HEADER + packet.len());
-        out.extend_from_slice(&session.to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(&Self::crc(tenant, session, seq, packet).to_be_bytes());
-        out.extend_from_slice(packet);
+    /// Encodes the payload, bound to `tenant` by the CRC.
+    pub fn encode(&self, tenant: &[u8]) -> Vec<u8> {
+        let traced = self.ctx.is_traced();
+        let mut out = Vec::with_capacity(Self::fields_len(traced) + 4 + self.packet.len());
+        if traced {
+            out.extend_from_slice(&self.ctx.to_bytes());
+        }
+        out.extend_from_slice(&self.session.to_be_bytes());
+        out.extend_from_slice(&self.seq.to_be_bytes());
+        let crc = Self::crc(tenant, &out, self.packet);
+        out.extend_from_slice(&crc.to_be_bytes());
+        out.extend_from_slice(self.packet);
         out
     }
 
-    /// Decodes and integrity-checks an `IngestSeq` payload against the
-    /// envelope's tenant. Total: too-short payloads and CRC mismatches
-    /// come back as `Err` (the caller answers [`AckCode::Corrupt`]),
-    /// never a panic.
-    pub fn decode_payload(tenant: &[u8], payload: &[u8]) -> Result<Self, &'static str> {
-        if payload.len() < SEQ_FRAME_HEADER {
+    /// Encodes an untraced payload ([`SeqFrame::new`] then
+    /// [`SeqFrame::encode`]).
+    pub fn encode_payload(tenant: &[u8], session: u64, seq: u64, packet: &[u8]) -> Vec<u8> {
+        SeqFrame::new(session, seq, packet).encode(tenant)
+    }
+
+    /// Decodes and integrity-checks a payload against the envelope's
+    /// tenant; `traced` says whether the opcode was
+    /// [`OpCode::IngestTraced`]. Total: too-short payloads and CRC
+    /// mismatches come back as `Err` (the caller answers
+    /// [`AckCode::Corrupt`]), never a panic.
+    pub fn decode_payload(
+        tenant: &[u8],
+        payload: &'a [u8],
+        traced: bool,
+    ) -> Result<Self, &'static str> {
+        let fields_len = Self::fields_len(traced);
+        if payload.len() < fields_len + 4 {
             return Err("seq frame shorter than its header");
         }
-        let session = u64::from_be_bytes(payload[0..8].try_into().expect("sized"));
-        let seq = u64::from_be_bytes(payload[8..16].try_into().expect("sized"));
-        let crc = u32::from_be_bytes(payload[16..20].try_into().expect("sized"));
-        let packet = &payload[SEQ_FRAME_HEADER..];
-        if Self::crc(tenant, session, seq, packet) != crc {
+        let (fields, rest) = payload.split_at(fields_len);
+        let (crc, packet) = rest.split_at(4);
+        if Self::crc(tenant, fields, packet) != u32::from_be_bytes(crc.try_into().expect("sized")) {
             return Err("seq frame crc mismatch");
         }
+        let (ctx, ids) = if traced {
+            let (ctx, ids) = fields.split_at(TraceContext::WIRE_LEN);
+            (
+                TraceContext::from_bytes(ctx.try_into().expect("sized")),
+                ids,
+            )
+        } else {
+            (TraceContext::NONE, fields)
+        };
         Ok(SeqFrame {
-            session,
-            seq,
-            packet: packet.to_vec(),
-        })
-    }
-}
-
-/// The payload of an [`OpCode::IngestTraced`] frame:
-///
-/// ```text
-/// trace(8, BE) | parent(8, BE) | session(8, BE) | seq(8, BE) |
-/// crc32(4, BE) | packet bytes
-/// ```
-///
-/// A [`SeqFrame`] extended with the client's causal context: `trace` is
-/// the 64-bit trace id minted once per logical send (retries reuse it, so
-/// one packet is one trace no matter how many times the wire ate it), and
-/// `parent` is the client-side span the gateway's `gateway.ingest` span
-/// becomes a child of. The CRC is CRC-32/IEEE over
-/// `tenant | trace(8) | parent(8) | session(8) | seq(8) | packet` — the
-/// trace identity is integrity-bound like everything else, so a
-/// bit-flipped trace id surfaces as [`AckCode::Corrupt`] instead of
-/// silently splicing the packet into someone else's trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TracedFrame {
-    /// Trace id minted by the client (nonzero for a real trace).
-    pub trace: u64,
-    /// Client-side parent span id (0 = root the server spans directly
-    /// under the trace).
-    pub parent: u64,
-    /// Client session id (stable across reconnects).
-    pub session: u64,
-    /// Monotone per-session sequence number.
-    pub seq: u64,
-    /// Canonical packet bytes.
-    pub packet: Vec<u8>,
-}
-
-/// Fixed prefix of a [`TracedFrame`] payload: trace + parent + session +
-/// seq + crc.
-pub const TRACED_FRAME_HEADER: usize = 8 + 8 + 8 + 8 + 4;
-
-impl TracedFrame {
-    fn crc(tenant: &[u8], trace: u64, parent: u64, session: u64, seq: u64, packet: &[u8]) -> u32 {
-        let mut bound = Vec::with_capacity(tenant.len() + 32 + packet.len());
-        bound.extend_from_slice(tenant);
-        bound.extend_from_slice(&trace.to_be_bytes());
-        bound.extend_from_slice(&parent.to_be_bytes());
-        bound.extend_from_slice(&session.to_be_bytes());
-        bound.extend_from_slice(&seq.to_be_bytes());
-        bound.extend_from_slice(packet);
-        pnm_core::store::crc32(&bound)
-    }
-
-    /// Encodes the payload for [`Envelope::ingest_traced`].
-    pub fn encode_payload(
-        tenant: &[u8],
-        trace: u64,
-        parent: u64,
-        session: u64,
-        seq: u64,
-        packet: &[u8],
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(TRACED_FRAME_HEADER + packet.len());
-        out.extend_from_slice(&trace.to_be_bytes());
-        out.extend_from_slice(&parent.to_be_bytes());
-        out.extend_from_slice(&session.to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(
-            &Self::crc(tenant, trace, parent, session, seq, packet).to_be_bytes(),
-        );
-        out.extend_from_slice(packet);
-        out
-    }
-
-    /// Decodes and integrity-checks an `IngestTraced` payload against the
-    /// envelope's tenant. Total: too-short payloads and CRC mismatches
-    /// come back as `Err` (the caller answers [`AckCode::Corrupt`]),
-    /// never a panic.
-    pub fn decode_payload(tenant: &[u8], payload: &[u8]) -> Result<Self, &'static str> {
-        if payload.len() < TRACED_FRAME_HEADER {
-            return Err("traced frame shorter than its header");
-        }
-        let trace = u64::from_be_bytes(payload[0..8].try_into().expect("sized"));
-        let parent = u64::from_be_bytes(payload[8..16].try_into().expect("sized"));
-        let session = u64::from_be_bytes(payload[16..24].try_into().expect("sized"));
-        let seq = u64::from_be_bytes(payload[24..32].try_into().expect("sized"));
-        let crc = u32::from_be_bytes(payload[32..36].try_into().expect("sized"));
-        let packet = &payload[TRACED_FRAME_HEADER..];
-        if Self::crc(tenant, trace, parent, session, seq, packet) != crc {
-            return Err("traced frame crc mismatch");
-        }
-        Ok(TracedFrame {
-            trace,
-            parent,
-            session,
-            seq,
-            packet: packet.to_vec(),
+            session: u64::from_be_bytes(ids[0..8].try_into().expect("sized")),
+            seq: u64::from_be_bytes(ids[8..16].try_into().expect("sized")),
+            ctx,
+            packet,
         })
     }
 }
@@ -528,7 +457,7 @@ impl AckCode {
 /// [`OpCode::IngestTraced`] frame:
 ///
 /// ```text
-/// code(1) | seq(8, BE) | retry_after_ms(4, BE) | crc32(4, BE)            (legacy)
+/// code(1) | seq(8, BE) | retry_after_ms(4, BE) | crc32(4, BE)            (untraced)
 /// code(1) | seq(8, BE) | retry_after_ms(4, BE) | trace(8, BE) | crc32(4) (traced)
 /// ```
 ///
@@ -538,8 +467,7 @@ impl AckCode {
 /// retried instead of trusted. A traced ingest is answered with the
 /// 25-byte form echoing the request's trace id — the client checks the
 /// echo so a misrouted ack cannot close the wrong trace; a plain
-/// `IngestSeq` keeps the original 17-byte form, byte-identical to what a
-/// version-2 server sent.
+/// `IngestSeq` gets the 17-byte form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IngestAck {
     /// Admission outcome.
@@ -550,12 +478,12 @@ pub struct IngestAck {
     /// For [`AckCode::Busy`]: suggested wait before retrying, in
     /// milliseconds. Zero otherwise.
     pub retry_after_ms: u32,
-    /// Echo of the request's trace id (version 3). Zero for a plain
-    /// `IngestSeq` ack, which also selects the legacy 17-byte encoding.
+    /// Echo of the request's trace id. Zero for a plain `IngestSeq` ack,
+    /// which also selects the 17-byte encoding.
     pub trace: u64,
 }
 
-/// Exact byte length of a legacy (untraced) encoded [`IngestAck`].
+/// Exact byte length of an untraced encoded [`IngestAck`].
 pub const INGEST_ACK_LEN: usize = 1 + 8 + 4 + 4;
 
 /// Exact byte length of a trace-echoing encoded [`IngestAck`].
@@ -586,8 +514,8 @@ impl IngestAck {
         self
     }
 
-    /// Canonical encoding (see type docs): the legacy 17-byte form when
-    /// `trace` is zero, the 25-byte trace-echoing form otherwise.
+    /// Canonical encoding (see type docs): the 17-byte form when `trace`
+    /// is zero, the 25-byte trace-echoing form otherwise.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(INGEST_ACK_TRACED_LEN);
         out.push(self.code as u8);
@@ -602,7 +530,7 @@ impl IngestAck {
     }
 
     /// Decodes and integrity-checks an ack payload, accepting both the
-    /// 17-byte legacy form and the 25-byte traced form. Total: wrong
+    /// 17-byte untraced form and the 25-byte traced form. Total: wrong
     /// length, unknown code, and CRC damage are `Err`, never a panic.
     pub fn decode(payload: &[u8]) -> Result<Self, &'static str> {
         let trace = match payload.len() {
@@ -774,8 +702,20 @@ mod tests {
     use super::*;
 
     fn sample() -> Envelope {
-        Envelope::ingest(b"alpha", b"some canonical packet bytes")
+        Envelope::ingest_seq(b"alpha", 7, 9, b"some canonical packet bytes")
     }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    const TRACE: TraceContext = TraceContext {
+        trace: 0xdead_beef_cafe_f00d,
+        parent: 0x77,
+    };
 
     #[test]
     fn round_trip() {
@@ -855,11 +795,16 @@ mod tests {
             "bad_version"
         );
         assert_eq!(
-            Envelope::decode(b"PG\x01\x63", 64).unwrap_err().reason(),
+            Envelope::decode(b"PG\x03\x63", 64).unwrap_err().reason(),
+            "bad_opcode"
+        );
+        // Opcode 0 (the retired fire-and-forget ingest) is no opcode.
+        assert_eq!(
+            Envelope::decode(b"PG\x03\x00", 64).unwrap_err().reason(),
             "bad_opcode"
         );
         assert_eq!(
-            Envelope::decode(b"PG\x01\x00\x00", 64)
+            Envelope::decode(b"PG\x03\x01\x00", 64)
                 .unwrap_err()
                 .reason(),
             "bad_tenant_len"
@@ -881,7 +826,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tenant id")]
     fn encoding_empty_tenant_is_a_caller_bug() {
-        let _ = Envelope::ingest(b"", b"x").encode();
+        let _ = Envelope::control(OpCode::Snapshot, b"").encode();
     }
 
     #[test]
@@ -901,48 +846,40 @@ mod tests {
     }
 
     #[test]
-    fn version_1_frames_still_decode_but_not_v2_opcodes() {
-        // A PR-7 client frame: version byte 1, opcode Snapshot.
-        let mut v1 = Envelope::control(OpCode::Snapshot, b"alpha");
-        v1.version = 1;
-        let bytes = v1.encode();
-        let (decoded, _) = Envelope::decode(&bytes, DEFAULT_MAX_PAYLOAD)
-            .unwrap()
-            .unwrap();
-        assert_eq!(decoded.version, 1);
-        assert_eq!(decoded.opcode, OpCode::Snapshot);
-        // The same version byte with a resilience opcode is rejected.
-        let mut bad = Envelope::control(OpCode::Health, b"alpha");
-        bad.version = 1;
-        assert_eq!(
-            Envelope::decode(&bad.encode(), DEFAULT_MAX_PAYLOAD)
-                .unwrap_err()
-                .reason(),
-            "bad_opcode"
-        );
+    fn only_the_current_version_decodes() {
+        for version in [0u8, 1, 2, VERSION + 1, 0xff] {
+            for mut env in [
+                sample(),
+                Envelope::control(OpCode::Snapshot, b"alpha"),
+                Envelope::control(OpCode::Health, b"_"),
+            ] {
+                env.version = version;
+                assert_eq!(
+                    Envelope::decode(&env.encode(), DEFAULT_MAX_PAYLOAD),
+                    Err(EnvelopeError::BadVersion(version))
+                );
+            }
+        }
     }
 
     #[test]
     fn seq_frame_binds_tenant_session_seq_and_packet() {
         let payload = SeqFrame::encode_payload(b"alpha", 7, 9, b"pkt");
-        let frame = SeqFrame::decode_payload(b"alpha", &payload).unwrap();
-        assert_eq!(
-            (frame.session, frame.seq, frame.packet.as_slice()),
-            (7, 9, &b"pkt"[..])
-        );
+        let frame = SeqFrame::decode_payload(b"alpha", &payload, false).unwrap();
+        assert_eq!(frame, SeqFrame::new(7, 9, b"pkt"));
         // Wrong tenant → CRC mismatch (a bit-flipped tenant id cannot be
         // silently absorbed by a neighbouring tenant).
-        assert!(SeqFrame::decode_payload(b"alphb", &payload).is_err());
+        assert!(SeqFrame::decode_payload(b"alphb", &payload, false).is_err());
         // Any flipped byte → CRC mismatch.
         for i in 0..payload.len() {
             let mut damaged = payload.clone();
             damaged[i] ^= 0x10;
             assert!(
-                SeqFrame::decode_payload(b"alpha", &damaged).is_err(),
+                SeqFrame::decode_payload(b"alpha", &damaged, false).is_err(),
                 "flip at {i} must not verify"
             );
         }
-        assert!(SeqFrame::decode_payload(b"alpha", &payload[..10]).is_err());
+        assert!(SeqFrame::decode_payload(b"alpha", &payload[..10], false).is_err());
     }
 
     #[test]
@@ -976,7 +913,10 @@ mod tests {
     #[test]
     fn v3_frames_round_trip() {
         for env in [
-            Envelope::ingest_traced(b"alpha", 0xdead_beef, 0x77, 0xfeed, 42, b"packet bytes"),
+            Envelope::sequenced(
+                b"alpha",
+                &SeqFrame::new(0xfeed, 42, b"packet bytes").traced(TRACE),
+            ),
             Envelope::control(OpCode::Ops, b"alpha"),
             Envelope::control(OpCode::Ops, b"*"),
         ] {
@@ -990,48 +930,31 @@ mod tests {
     }
 
     #[test]
-    fn version_2_frames_still_decode_but_not_v3_opcodes() {
-        let mut v2 = Envelope::ingest_seq(b"alpha", 1, 2, b"pkt");
-        v2.version = 2;
-        let (decoded, _) = Envelope::decode(&v2.encode(), DEFAULT_MAX_PAYLOAD)
-            .unwrap()
-            .unwrap();
-        assert_eq!(decoded.version, 2);
-        assert_eq!(decoded.opcode, OpCode::IngestSeq);
-        for opcode in [OpCode::IngestTraced, OpCode::Ops] {
-            let mut bad = Envelope::control(opcode, b"alpha");
-            bad.version = 2;
-            assert_eq!(
-                Envelope::decode(&bad.encode(), DEFAULT_MAX_PAYLOAD)
-                    .unwrap_err()
-                    .reason(),
-                "bad_opcode"
-            );
-        }
-    }
-
-    #[test]
     fn traced_frame_binds_trace_identity_too() {
-        let payload = TracedFrame::encode_payload(b"alpha", 0xabc, 0x11, 7, 9, b"pkt");
-        let frame = TracedFrame::decode_payload(b"alpha", &payload).unwrap();
-        assert_eq!(
-            (frame.trace, frame.parent, frame.session, frame.seq),
-            (0xabc, 0x11, 7, 9)
-        );
-        assert_eq!(frame.packet, b"pkt");
+        let sent = SeqFrame::new(7, 9, b"pkt").traced(TraceContext {
+            trace: 0xabc,
+            parent: 0x11,
+        });
+        assert_eq!(sent.opcode(), OpCode::IngestTraced);
+        let payload = sent.encode(b"alpha");
+        let frame = SeqFrame::decode_payload(b"alpha", &payload, true).unwrap();
+        assert_eq!(frame, sent);
         // Wrong tenant → CRC mismatch.
-        assert!(TracedFrame::decode_payload(b"alphb", &payload).is_err());
+        assert!(SeqFrame::decode_payload(b"alphb", &payload, true).is_err());
+        // The opcode decides the layout: the same bytes read as untraced
+        // fail their CRC instead of yielding a wrong session.
+        assert!(SeqFrame::decode_payload(b"alpha", &payload, false).is_err());
         // Any flipped byte — including the trace id — is detected, so a
         // damaged trace id cannot splice the packet into another trace.
         for i in 0..payload.len() {
             let mut damaged = payload.clone();
             damaged[i] ^= 0x10;
             assert!(
-                TracedFrame::decode_payload(b"alpha", &damaged).is_err(),
+                SeqFrame::decode_payload(b"alpha", &damaged, true).is_err(),
                 "flip at {i} must not verify"
             );
         }
-        assert!(TracedFrame::decode_payload(b"alpha", &payload[..20]).is_err());
+        assert!(SeqFrame::decode_payload(b"alpha", &payload[..20], true).is_err());
     }
 
     #[test]
@@ -1045,11 +968,59 @@ mod tests {
             damaged[i] ^= 0x02;
             assert!(IngestAck::decode(&damaged).is_err(), "flip at {i}");
         }
-        // An untraced ack still encodes to the legacy 17-byte form, so a
-        // version-2 client reading this server sees identical bytes.
-        let legacy = IngestAck::new(AckCode::Accepted, 3).encode();
-        assert_eq!(legacy.len(), INGEST_ACK_LEN);
-        assert_eq!(IngestAck::decode(&legacy).unwrap().trace, 0);
+        // An untraced ack encodes to the 17-byte form.
+        let untraced = IngestAck::new(AckCode::Accepted, 3).encode();
+        assert_eq!(untraced.len(), INGEST_ACK_LEN);
+        assert_eq!(IngestAck::decode(&untraced).unwrap().trace, 0);
+    }
+
+    /// Wire bytes pinned against vectors recorded from the encoders that
+    /// shipped separate untraced and traced frame types: merging them
+    /// into one [`SeqFrame`] moved no byte, in either direction.
+    #[test]
+    fn golden_wire_vectors() {
+        const SEQ: &str = "0102030405060708000000000000002a5fb3cab6706b742d6279746573";
+        const TRACED: &str = "deadbeefcafef00d0000000000000077\
+                              0102030405060708000000000000002abd49f882706b742d6279746573";
+        const ENV_SEQ: &str = "5047030405616c7068610000001d";
+        const ENV_TRACED: &str = "5047030705616c7068610000002d";
+        const ACK_SHORT: &str = "02000000000000002a0000001980326cac";
+        const ACK_LONG: &str = "00000000000000002a00000000deadbeefcafef00dbb2dd16b";
+
+        let untraced = SeqFrame::new(0x0102_0304_0506_0708, 42, b"pkt-bytes");
+        let traced = untraced.traced(TRACE);
+        for (frame, hex, env_hex) in [(untraced, SEQ, ENV_SEQ), (traced, TRACED, ENV_TRACED)] {
+            let payload = unhex(hex);
+            assert_eq!(frame.encode(b"alpha"), payload);
+            let is_traced = frame.opcode() == OpCode::IngestTraced;
+            assert_eq!(
+                SeqFrame::decode_payload(b"alpha", &payload, is_traced),
+                Ok(frame)
+            );
+            let mut env_bytes = unhex(env_hex);
+            env_bytes.extend_from_slice(&payload);
+            assert_eq!(Envelope::sequenced(b"alpha", &frame).encode(), env_bytes);
+            let (env, used) = Envelope::decode(&env_bytes, DEFAULT_MAX_PAYLOAD)
+                .unwrap()
+                .unwrap();
+            assert_eq!(used, env_bytes.len());
+            assert_eq!((env.opcode, env.payload), (frame.opcode(), payload));
+        }
+        assert_eq!(
+            SeqFrame::encode_payload(b"alpha", 0x0102_0304_0506_0708, 42, b"pkt-bytes"),
+            unhex(SEQ)
+        );
+        assert_eq!(
+            Envelope::ingest_seq(b"alpha", 0x0102_0304_0506_0708, 42, b"pkt-bytes").encode(),
+            [unhex(ENV_SEQ), unhex(SEQ)].concat()
+        );
+
+        let short = IngestAck::new(AckCode::Busy, 42).with_retry_after(25);
+        let long = IngestAck::new(AckCode::Accepted, 42).with_trace(TRACE.trace);
+        for (ack, hex) in [(short, ACK_SHORT), (long, ACK_LONG)] {
+            assert_eq!(ack.encode(), unhex(hex));
+            assert_eq!(IngestAck::decode(&unhex(hex)), Ok(ack));
+        }
     }
 
     #[test]

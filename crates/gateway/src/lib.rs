@@ -12,11 +12,11 @@
 //!   payload. Decoding is total in the `pnm-wire` sense — garbage,
 //!   bit-flips, and truncation become counted rejections or "need more
 //!   bytes", never a panic, and no unvalidated length field drives an
-//!   allocation. Opcodes: [`OpCode::Ingest`] (fire-and-forget packet
-//!   delivery), [`OpCode::Snapshot`], [`OpCode::MetricsText`],
-//!   [`OpCode::Drain`], and — since protocol version 2 —
-//!   [`OpCode::IngestSeq`] (acked, exactly-once delivery),
-//!   [`OpCode::Health`], and [`OpCode::Ready`].
+//!   allocation. Packets travel one way: [`OpCode::IngestSeq`] (acked,
+//!   exactly-once delivery; [`OpCode::IngestTraced`] marks a frame that
+//!   also carries the client's trace context). Control opcodes:
+//!   [`OpCode::Snapshot`], [`OpCode::MetricsText`], [`OpCode::Drain`],
+//!   [`OpCode::Health`], [`OpCode::Ready`], and [`OpCode::Ops`].
 //! * **Resilience.** Sequenced ingest carries a client session id, a
 //!   monotone sequence number, and an end-to-end CRC ([`SeqFrame`]); the
 //!   server answers every frame with an [`IngestAck`] and deduplicates
@@ -50,7 +50,7 @@
 //!   ([`Gateway`]); connection state never crosses threads after accept.
 //!   [`GatewayClient`] is the matching blocking client.
 //!
-//! The `bench-gateway` binary in `pnm-sim` measures end-to-end ingest
+//! The `bench_gateway` binary in `pnm-sim` measures acked ingest
 //! throughput and latency at 1/4/16 tenants over this stack.
 
 #![forbid(unsafe_code)]
@@ -72,13 +72,11 @@ pub use backoff::{BackoffPolicy, BackoffSchedule, MAX_JITTER};
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosTransport};
 pub use client::{ClientConfig, GatewayClient, CLIENT_MAX_RESPONSE};
 pub use envelope::{
-    AckCode, Envelope, EnvelopeError, IngestAck, OpCode, Response, SeqFrame, Status, TracedFrame,
+    AckCode, Envelope, EnvelopeError, IngestAck, OpCode, Response, SeqFrame, Status,
     DEFAULT_MAX_PAYLOAD, FIXED_HEADER, INGEST_ACK_LEN, INGEST_ACK_TRACED_LEN, MAGIC,
-    MAX_TENANT_LEN, MIN_VERSION, SEQ_FRAME_HEADER, TRACED_FRAME_HEADER, VERSION,
+    MAX_TENANT_LEN, VERSION,
 };
 pub use resilient::{ClientReport, Connector, ResilientClient, ResilientConfig, SendOutcome};
 pub use server::{Gateway, GatewayConfig, GatewayHandle};
-pub use tenant::{
-    DrainVerdict, IngestStatus, RateLimit, TenantConfig, TenantRegistry, TenantRegistryBuilder,
-};
+pub use tenant::{DrainVerdict, RateLimit, TenantConfig, TenantRegistry, TenantRegistryBuilder};
 pub use transport::Transport;

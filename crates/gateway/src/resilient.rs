@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pnm_obs::{Registry, Tracer};
+use pnm_obs::{Registry, TraceContext, Tracer};
 
 use crate::backoff::{BackoffPolicy, BackoffSchedule};
 use crate::chaos::{splitmix64, ChaosCounters, ChaosPlan, ChaosTransport};
@@ -370,8 +370,11 @@ impl ResilientClient {
             .as_ref()
             .filter(|t| t.enabled())
             .map(|t| t.span_root("client.send"));
-        let ctx = span.as_ref().and_then(|s| s.context());
-        let trace = ctx.map(|c| c.trace).unwrap_or(0);
+        let ctx = span
+            .as_ref()
+            .and_then(|s| s.context())
+            .unwrap_or(TraceContext::NONE);
+        let trace = ctx.trace;
         let mut hint = Duration::ZERO;
         for attempt in 0..self.max_attempts {
             if attempt > 0 {
@@ -383,12 +386,9 @@ impl ResilientClient {
             self.report.attempts += 1;
             self.mark("pnm_client_attempts_total");
             let session = self.session;
-            let ack: io::Result<IngestAck> = self.client_mut().and_then(|c| match ctx {
-                Some(ctx) => {
-                    c.ingest_traced(tenant, ctx.trace, ctx.parent, session, seq, packet_bytes)
-                }
-                None => c.ingest_seq(tenant, session, seq, packet_bytes),
-            });
+            let ack: io::Result<IngestAck> = self
+                .client_mut()
+                .and_then(|c| c.ingest_seq(tenant, session, seq, ctx, packet_bytes));
             let ack = match ack {
                 Ok(ack) => ack,
                 Err(_) => {

@@ -21,14 +21,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pnm_core::store::{LogStore, StoreError};
+use pnm_core::Arrival;
 use pnm_crypto::KeyStore;
-use pnm_obs::{Counter, FlightRecorder, JsonValue, Registry, TraceContext, Tracer};
+use pnm_obs::{Counter, FlightRecorder, JsonValue, Registry, Tracer};
 use pnm_service::{IngestError, ServiceConfig, ServicePool};
 use pnm_wire::Packet;
 
 use crate::admission::TokenBucket;
 use crate::dedup::{DedupState, DedupVerdict, DEFAULT_MAX_SESSIONS, DEFAULT_WINDOW};
-use crate::envelope::{AckCode, IngestAck, SeqFrame, TracedFrame, MAX_TENANT_LEN};
+use crate::envelope::{AckCode, IngestAck, SeqFrame, MAX_TENANT_LEN};
 
 /// Per-tenant ingest rate limit (token bucket parameters).
 #[derive(Clone, Copy, Debug)]
@@ -64,8 +65,8 @@ impl TenantConfig {
     }
 
     /// Caps the tenant's sustained ingest rate; packets beyond the bucket
-    /// are counted as `rate_limited` rejections and dropped before they
-    /// cost a decode. No limit by default.
+    /// are answered [`AckCode::RateLimited`] (counted as `rate_limited`
+    /// rejections) before they cost a packet decode. No limit by default.
     pub fn rate_limit(mut self, packets_per_sec: f64, burst: f64) -> Self {
         self.rate_limit = Some(RateLimit {
             packets_per_sec,
@@ -89,39 +90,6 @@ impl TenantConfig {
         self.dedup_sessions = sessions;
         self.dedup_window = window;
         self
-    }
-}
-
-/// Why the gateway refused (or accepted) one ingest frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestStatus {
-    /// Enqueued into the tenant's pool.
-    Accepted,
-    /// The envelope named no provisioned tenant.
-    UnknownTenant,
-    /// The payload failed `Packet::from_bytes` — counted, never a panic,
-    /// exactly as `SinkEngine::ingest_bytes` counts malformed bytes.
-    Malformed,
-    /// The tenant's token bucket was empty.
-    RateLimited,
-    /// The tenant's pool shed the packet (bounded queue full under
-    /// [`pnm_service::BackpressurePolicy::Shed`]).
-    Shed,
-    /// The tenant was already drained; its verdict is final.
-    Drained,
-}
-
-impl IngestStatus {
-    /// Stable rejection-counter label (`None` for `Accepted`).
-    pub fn reason(&self) -> Option<&'static str> {
-        match self {
-            IngestStatus::Accepted => None,
-            IngestStatus::UnknownTenant => Some("unknown_tenant"),
-            IngestStatus::Malformed => Some("malformed"),
-            IngestStatus::RateLimited => Some("rate_limited"),
-            IngestStatus::Shed => Some("shed"),
-            IngestStatus::Drained => Some("drained"),
-        }
     }
 }
 
@@ -237,7 +205,9 @@ impl TenantRegistryBuilder {
     /// Gives every tenant (that has no explicit store already) a durable
     /// evidence log at `<dir>/<tenant>.pnme` — one file per tenant, so
     /// evidence never shares a byte stream across tenants and each tenant
-    /// recovers independently.
+    /// recovers independently. A registry built over a directory that
+    /// already holds logs (a restart) replays them: see
+    /// [`build`](Self::build).
     pub fn evidence_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.evidence_dir = Some(dir.into());
         self
@@ -245,9 +215,16 @@ impl TenantRegistryBuilder {
 
     /// Spawns every tenant's pool and returns the registry.
     ///
+    /// A tenant whose service has an evidence store starts through
+    /// [`ServicePool::recover`]: whatever an earlier gateway life appended
+    /// to the store is replayed into the new pool, so a drain after a
+    /// graceful restart covers every packet acked before it. A fresh
+    /// store replays nothing.
+    ///
     /// # Errors
     ///
-    /// Propagates [`StoreError`] from opening a tenant's evidence log.
+    /// Propagates [`StoreError`] from opening or replaying a tenant's
+    /// evidence log.
     ///
     /// # Panics
     ///
@@ -270,8 +247,13 @@ impl TenantRegistryBuilder {
             };
             let tracer = service.tracer_handle().clone();
             let flight = service.flight_recorder_handle().cloned();
+            let pool = if service.store_handle().is_some() {
+                ServicePool::recover(config.keys, service)?.0
+            } else {
+                ServicePool::new(config.keys, service)
+            };
             let tenant = Tenant {
-                pool: Mutex::new(Some(ServicePool::new(config.keys, service))),
+                pool: Mutex::new(Some(pool)),
                 tracer,
                 flight,
                 bucket: config
@@ -325,53 +307,18 @@ impl TenantRegistry {
         &self.registry
     }
 
-    /// Admits one ingest frame: token bucket, then packet decode, then
-    /// the tenant's pool (whose Block/Shed policy applies as configured).
-    /// Every outcome is counted under the tenant's metrics namespace;
-    /// nothing here panics on hostile payload bytes.
-    pub fn ingest(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestStatus {
-        let Some(t) = self.tenants.get(tenant) else {
-            self.rejected_unknown.inc();
-            return IngestStatus::UnknownTenant;
-        };
-        if let Some(bucket) = &t.bucket {
-            if !bucket.lock().expect("bucket lock").try_take_at(now) {
-                t.rejected_rate.inc();
-                return IngestStatus::RateLimited;
-            }
-        }
-        let packet = match Packet::from_bytes(payload) {
-            Ok(p) => p,
-            Err(_) => {
-                t.rejected_malformed.inc();
-                return IngestStatus::Malformed;
-            }
-        };
-        let pool = t.pool.lock().expect("pool lock");
-        match pool.as_ref() {
-            Some(pool) => match pool.ingest(packet) {
-                Ok(_) => {
-                    t.ingested.inc();
-                    IngestStatus::Accepted
-                }
-                Err(IngestError::Shed) => {
-                    t.rejected_shed.inc();
-                    IngestStatus::Shed
-                }
-                Err(IngestError::Closed) => {
-                    t.rejected_drained.inc();
-                    IngestStatus::Drained
-                }
-            },
-            None => {
-                t.rejected_drained.inc();
-                IngestStatus::Drained
-            }
-        }
+    /// Admits one sequenced ingest payload (an untraced
+    /// [`crate::OpCode::IngestSeq`] frame's) and returns the ack the server
+    /// should send back — the exactly-once path. Traced frames reach the
+    /// same admission body through the server.
+    pub fn ingest_seq(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestAck {
+        self.admit(tenant, payload, false, now)
     }
 
-    /// Admits one **sequenced** ingest frame and returns the ack the
-    /// server should send back — the exactly-once path.
+    /// The one admission body behind every sequenced ingest frame;
+    /// `traced` says whether the opcode was
+    /// [`crate::OpCode::IngestTraced`] (the payload carries a trace
+    /// context).
     ///
     /// Admission order is chosen so that retries are cheap and never
     /// double-counted: CRC/decode of the sequence frame first (`Corrupt`
@@ -384,9 +331,23 @@ impl TenantRegistry {
     /// re-derives the same verdict) → the pool (`Accepted` / `Busy` with a
     /// retry hint / `Drained`). The dedup window records a frame **only**
     /// when the pool actually absorbed it, so acked ≡ counted holds.
-    pub fn ingest_seq(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestAck {
+    ///
+    /// Every ack but `Corrupt` echoes the frame's seq and trace id (the
+    /// trace id of a damaged frame is inside the damage). When a traced
+    /// packet reaches the pool, a `gateway.ingest` span opens inside the
+    /// client's wire context and the packet rides the shard queue under
+    /// it — so the client span, the gateway span, and every sink stage
+    /// span form one trace. Tracing changes no admission outcome and no
+    /// evidence byte.
+    pub(crate) fn admit(
+        &self,
+        tenant: &[u8],
+        payload: &[u8],
+        traced: bool,
+        now: Instant,
+    ) -> IngestAck {
         let t = self.tenants.get(tenant);
-        let frame = match SeqFrame::decode_payload(tenant, payload) {
+        let frame = match SeqFrame::decode_payload(tenant, payload, traced) {
             Ok(f) => f,
             Err(_) => {
                 match t {
@@ -396,12 +357,13 @@ impl TenantRegistry {
                 return IngestAck::new(AckCode::Corrupt, 0);
             }
         };
-        let seq = frame.seq;
+        let (seq, wire_ctx) = (frame.seq, frame.ctx);
+        let ack = |code| IngestAck::new(code, seq).with_trace(wire_ctx.trace);
         let Some(t) = t else {
             // The CRC passed over this tenant id, so the client really
             // sent it: genuinely unknown, terminal.
             self.rejected_unknown.inc();
-            return IngestAck::new(AckCode::UnknownTenant, seq);
+            return ack(AckCode::UnknownTenant);
         };
         if t.dedup
             .lock()
@@ -410,115 +372,20 @@ impl TenantRegistry {
             == DedupVerdict::Duplicate
         {
             t.duplicate.inc();
-            return IngestAck::new(AckCode::Duplicate, seq);
+            return ack(AckCode::Duplicate);
         }
         if let Some(bucket) = &t.bucket {
             if !bucket.lock().expect("bucket lock").try_take_at(now) {
                 t.rejected_rate.inc();
-                return IngestAck::new(AckCode::RateLimited, seq)
-                    .with_retry_after(t.busy_retry_after_ms);
+                return ack(AckCode::RateLimited).with_retry_after(t.busy_retry_after_ms);
             }
         }
-        let packet = match Packet::from_bytes(&frame.packet) {
+        let packet = match Packet::from_bytes(frame.packet) {
             Ok(p) => p,
             Err(_) => {
                 t.rejected_malformed.inc();
-                return IngestAck::new(AckCode::Malformed, seq);
+                return ack(AckCode::Malformed);
             }
-        };
-        let pool = t.pool.lock().expect("pool lock");
-        let outcome = match pool.as_ref() {
-            Some(pool) => match pool.ingest(packet) {
-                Ok(_) => {
-                    let mut dedup = t.dedup.lock().expect("dedup lock");
-                    dedup.record(frame.session, seq);
-                    t.dedup_evicted.store(dedup.evicted_sessions());
-                    t.ingested.inc();
-                    AckCode::Accepted
-                }
-                Err(IngestError::Shed) => {
-                    t.rejected_shed.inc();
-                    AckCode::Busy
-                }
-                Err(IngestError::Closed) => {
-                    t.rejected_drained.inc();
-                    AckCode::Drained
-                }
-            },
-            None => {
-                t.rejected_drained.inc();
-                AckCode::Drained
-            }
-        };
-        let ack = IngestAck::new(outcome, seq);
-        if outcome == AckCode::Busy {
-            ack.with_retry_after(t.busy_retry_after_ms)
-        } else {
-            ack
-        }
-    }
-
-    /// Admits one **traced** sequenced ingest frame and returns the ack
-    /// (which echoes the frame's trace id) — [`ingest_seq`] plus causal
-    /// context.
-    ///
-    /// Admission order, dedup semantics, and "acked ≡ counted exactly
-    /// once" are identical to [`ingest_seq`]; the only addition is that
-    /// when the pool absorbs the packet, a `gateway.ingest` span is
-    /// opened inside the client's wire context and the packet rides the
-    /// shard queue under that span — so the client span, the gateway
-    /// span, and every sink stage span form one trace. Tracing changes
-    /// no admission outcome and no evidence byte: a traced run's
-    /// artifacts are byte-identical to an untraced run of the same
-    /// stream.
-    ///
-    /// [`ingest_seq`]: Self::ingest_seq
-    pub fn ingest_traced(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestAck {
-        let t = self.tenants.get(tenant);
-        let frame = match TracedFrame::decode_payload(tenant, payload) {
-            Ok(f) => f,
-            Err(_) => {
-                match t {
-                    Some(t) => t.rejected_corrupt.inc(),
-                    None => self.rejected_corrupt_unattributed.inc(),
-                }
-                // The trace id itself is inside the damaged region, so
-                // the corrupt ack cannot echo it.
-                return IngestAck::new(AckCode::Corrupt, 0);
-            }
-        };
-        let (seq, trace) = (frame.seq, frame.trace);
-        let Some(t) = t else {
-            self.rejected_unknown.inc();
-            return IngestAck::new(AckCode::UnknownTenant, seq).with_trace(trace);
-        };
-        if t.dedup
-            .lock()
-            .expect("dedup lock")
-            .lookup(frame.session, seq)
-            == DedupVerdict::Duplicate
-        {
-            t.duplicate.inc();
-            return IngestAck::new(AckCode::Duplicate, seq).with_trace(trace);
-        }
-        if let Some(bucket) = &t.bucket {
-            if !bucket.lock().expect("bucket lock").try_take_at(now) {
-                t.rejected_rate.inc();
-                return IngestAck::new(AckCode::RateLimited, seq)
-                    .with_retry_after(t.busy_retry_after_ms)
-                    .with_trace(trace);
-            }
-        }
-        let packet = match Packet::from_bytes(&frame.packet) {
-            Ok(p) => p,
-            Err(_) => {
-                t.rejected_malformed.inc();
-                return IngestAck::new(AckCode::Malformed, seq).with_trace(trace);
-            }
-        };
-        let wire_ctx = TraceContext {
-            trace,
-            parent: frame.parent,
         };
         let pool = t.pool.lock().expect("pool lock");
         let outcome = match pool.as_ref() {
@@ -530,8 +397,7 @@ impl TenantRegistry {
                 let span = (wire_ctx.is_traced() && t.tracer.enabled())
                     .then(|| t.tracer.span_in("gateway.ingest", wire_ctx));
                 let ctx = span.as_ref().and_then(|s| s.context()).unwrap_or(wire_ctx);
-                let now_us = packet.report.timestamp;
-                match pool.ingest_ctx(packet, now_us, ctx) {
+                match pool.ingest(Arrival::new(packet).traced(ctx)) {
                     Ok(_) => {
                         let mut dedup = t.dedup.lock().expect("dedup lock");
                         dedup.record(frame.session, seq);
@@ -554,11 +420,10 @@ impl TenantRegistry {
                 AckCode::Drained
             }
         };
-        let ack = IngestAck::new(outcome, seq).with_trace(trace);
         if outcome == AckCode::Busy {
-            ack.with_retry_after(t.busy_retry_after_ms)
+            ack(outcome).with_retry_after(t.busy_retry_after_ms)
         } else {
-            ack
+            ack(outcome)
         }
     }
 
@@ -817,6 +682,18 @@ mod tests {
         pkt
     }
 
+    /// Sends one untraced sequenced frame as session 1 and returns the
+    /// ack code.
+    fn send(reg: &TenantRegistry, tenant: &[u8], seq: u64, bytes: &[u8], now: Instant) -> AckCode {
+        let ack = reg.ingest_seq(
+            tenant,
+            &SeqFrame::encode_payload(tenant, 1, seq, bytes),
+            now,
+        );
+        assert_eq!(ack.seq, seq, "every ack but Corrupt echoes the seq");
+        ack.code
+    }
+
     #[test]
     fn unknown_and_malformed_are_counted_not_fatal() {
         let reg = TenantRegistry::builder()
@@ -825,20 +702,26 @@ mod tests {
             .unwrap();
         let now = Instant::now();
         assert_eq!(
-            reg.ingest(b"nope", b"anything", now),
-            IngestStatus::UnknownTenant
+            send(&reg, b"nope", 0, b"anything", now),
+            AckCode::UnknownTenant
         );
         assert_eq!(
-            reg.ingest(b"alpha", b"\xff\xff garbage", now),
-            IngestStatus::Malformed
+            send(&reg, b"alpha", 0, b"\xff\xff garbage", now),
+            AckCode::Malformed
         );
         let ok = marked_packet(b"alpha", 6, 1).to_bytes();
-        assert_eq!(reg.ingest(b"alpha", &ok, now), IngestStatus::Accepted);
+        assert_eq!(send(&reg, b"alpha", 1, &ok, now), AckCode::Accepted);
+        // A payload that fails its CRC is corrupt, not malformed.
+        assert_eq!(
+            reg.ingest_seq(b"alpha", b"short", now),
+            IngestAck::new(AckCode::Corrupt, 0)
+        );
         let text = reg.metrics_text();
         assert!(text.contains("pnm_gateway_rejected_total{reason=\"unknown_tenant\"} 1"));
         assert!(
             text.contains("pnm_gateway_rejected_total{reason=\"malformed\",tenant=\"alpha\"} 1")
         );
+        assert!(text.contains("pnm_gateway_rejected_total{reason=\"corrupt\",tenant=\"alpha\"} 1"));
         assert!(text.contains("pnm_gateway_ingested_total{tenant=\"alpha\"} 1"));
         reg.drain(b"alpha");
     }
@@ -851,13 +734,13 @@ mod tests {
             .unwrap();
         let now = Instant::now();
         let bytes = marked_packet(b"alpha", 4, 1).to_bytes();
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Accepted);
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Accepted);
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::RateLimited);
-        // One second refills one token.
+        assert_eq!(send(&reg, b"alpha", 0, &bytes, now), AckCode::Accepted);
+        assert_eq!(send(&reg, b"alpha", 1, &bytes, now), AckCode::Accepted);
+        assert_eq!(send(&reg, b"alpha", 2, &bytes, now), AckCode::RateLimited);
+        // One second refills one token; the retried seq is admitted.
         assert_eq!(
-            reg.ingest(b"alpha", &bytes, now + Duration::from_secs(1)),
-            IngestStatus::Accepted
+            send(&reg, b"alpha", 2, &bytes, now + Duration::from_secs(1)),
+            AckCode::Accepted
         );
         assert!(reg
             .metrics_text()
@@ -874,7 +757,7 @@ mod tests {
         let now = Instant::now();
         for seq in 0..20 {
             let bytes = marked_packet(b"alpha", 6, seq).to_bytes();
-            assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Accepted);
+            assert_eq!(send(&reg, b"alpha", seq, &bytes, now), AckCode::Accepted);
         }
         let v1 = reg.drain(b"alpha").unwrap();
         let v2 = reg.drain(b"alpha").unwrap();
@@ -884,7 +767,7 @@ mod tests {
         assert!(v1.summary_json.contains("\"processed\": 20"));
         // Post-drain ingest is a counted rejection.
         let bytes = marked_packet(b"alpha", 6, 99).to_bytes();
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Drained);
+        assert_eq!(send(&reg, b"alpha", 99, &bytes, now), AckCode::Drained);
         // Round trip of the response payload.
         let decoded = DrainVerdict::decode(&v1.encode()).unwrap();
         assert_eq!(&decoded, v1.as_ref());

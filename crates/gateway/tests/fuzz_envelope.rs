@@ -2,7 +2,7 @@
 //! `crates/wire/tests/fuzz_decode.rs`, plus the same property proven at
 //! the socket: a live gateway fed arbitrary, bit-flipped, and truncated
 //! frames over real connections never panics, and every frame is
-//! accounted exactly once — accepted, rejected as a malformed payload, or
+//! accounted exactly once — acked as accepted, malformed or corrupt, or
 //! rejected as a bad frame.
 
 use std::io::{Read, Write};
@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    Envelope, Gateway, GatewayConfig, OpCode, Response, Status, TenantConfig, TenantRegistry,
-    DEFAULT_MAX_PAYLOAD,
+    AckCode, Envelope, Gateway, GatewayConfig, IngestAck, OpCode, Response, Status, TenantConfig,
+    TenantRegistry, DEFAULT_MAX_PAYLOAD,
 };
 use pnm_service::ServiceConfig;
 use pnm_wire::{Location, NodeId, Packet, Report};
@@ -55,7 +55,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let opcode = match opcode {
-            0 => OpCode::Ingest,
+            0 => OpCode::IngestSeq,
             1 => OpCode::Snapshot,
             2 => OpCode::MetricsText,
             _ => OpCode::Drain,
@@ -79,7 +79,7 @@ proptest! {
         payload in vec(any::<u8>(), 0..64),
         cut_salt in any::<u64>(),
     ) {
-        let mut env = Envelope::control(OpCode::Ingest, &vec![b't'; tenant_len]);
+        let mut env = Envelope::control(OpCode::IngestSeq, &vec![b't'; tenant_len]);
         env.payload = payload;
         let bytes = env.encode();
         let cut = (cut_salt % bytes.len() as u64) as usize;
@@ -106,10 +106,32 @@ fn counter_value(text: &str, series: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Reads `n` pipelined responses off `conn`.
+fn read_responses(conn: &mut UnixStream, n: usize) -> Vec<Response> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        match Response::decode(&buf, 1 << 20).unwrap() {
+            Some((resp, used)) => {
+                buf.drain(..used);
+                out.push(resp);
+            }
+            None => {
+                let k = conn.read(&mut chunk).unwrap();
+                assert!(k > 0, "gateway closed before answering");
+                buf.extend_from_slice(&chunk[..k]);
+            }
+        }
+    }
+    out
+}
+
 /// The socket-level totality claim: hostile frames over live connections
 /// never kill the gateway, and the books balance exactly — every ingest
-/// frame that reached the server is accepted or counted malformed, and
-/// every garbage connection is counted as exactly one bad frame.
+/// frame that reached the server is acked accepted, malformed or corrupt
+/// and counted once under that reason, and every garbage connection is
+/// counted as exactly one bad frame.
 #[test]
 fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
     let keys = Arc::new(KeyStore::derive_from_master(b"fuzz-tenant", 4));
@@ -138,9 +160,11 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
     let scheme = ProbabilisticNestedMarking::paper_default(4);
     let mut rng = StdRng::seed_from_u64(0xf02a);
 
-    // 40 ingest frames, each with one bit flipped inside the payload
-    // region (the envelope stays well-formed; the packet may not), sent
-    // over one pipelined connection.
+    // 40 sequenced ingest frames over one pipelined connection, each
+    // with one bit flipped. Even frames flip a packet bit before the CRC
+    // is computed (the frame is intact; the packet may not decode, which
+    // is a Malformed ack); odd frames flip a payload bit after encoding
+    // (the CRC catches it: a Corrupt ack).
     const FLIPPED: u64 = 40;
     {
         let mut conn = UnixStream::connect(&sock).unwrap();
@@ -155,32 +179,38 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
                 let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
                 scheme.mark(&ctx, &mut pkt, &mut rng);
             }
-            let mut frame = Envelope::ingest(b"alpha", &pkt.to_bytes()).encode();
-            // Envelope header is 5 + tenant(5) + payload_len(4) = 14
-            // bytes; flip strictly inside the payload.
-            let payload_start = 14;
-            let idx = payload_start + (seq as usize * 31) % (frame.len() - payload_start);
-            frame[idx] ^= 1 << (seq % 8);
+            let mut bytes = pkt.to_bytes();
+            let flip = 1 << (seq % 8);
+            if seq % 2 == 0 {
+                let idx = (seq as usize * 31) % bytes.len();
+                bytes[idx] ^= flip;
+            }
+            let mut frame = Envelope::ingest_seq(b"alpha", 1, seq, &bytes).encode();
+            if seq % 2 == 1 {
+                // Envelope header is 5 + tenant(5) + payload_len(4) = 14
+                // bytes; flip strictly inside the payload.
+                let payload_start = 14;
+                let idx = payload_start + (seq as usize * 31) % (frame.len() - payload_start);
+                frame[idx] ^= flip;
+            }
             conn.write_all(&frame).unwrap();
         }
-        // Sync: a response-bearing frame proves all 40 were dispatched.
         conn.write_all(&Envelope::control(OpCode::Snapshot, b"alpha").encode())
             .unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match Response::decode(&buf, 1 << 20).unwrap() {
-                Some((resp, _)) => {
-                    assert_eq!(resp.status, Status::Ok);
-                    break;
-                }
-                None => {
-                    let n = conn.read(&mut chunk).unwrap();
-                    assert!(n > 0, "gateway closed before answering snapshot");
-                    buf.extend_from_slice(&chunk[..n]);
-                }
+        let responses = read_responses(&mut conn, FLIPPED as usize + 1);
+        for (seq, resp) in responses[..FLIPPED as usize].iter().enumerate() {
+            assert_eq!(resp.status, Status::Ok);
+            let ack = IngestAck::decode(&resp.payload).unwrap();
+            if seq % 2 == 0 {
+                assert!(
+                    matches!(ack.code, AckCode::Accepted | AckCode::Malformed),
+                    "frame {seq}: {ack:?}"
+                );
+            } else {
+                assert_eq!(ack, IngestAck::new(AckCode::Corrupt, 0), "frame {seq}");
             }
         }
+        assert_eq!(responses[FLIPPED as usize].status, Status::Ok);
     }
 
     // 10 garbage connections: each stream's first frame is unambiguously
@@ -193,10 +223,10 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
             0 => b"\x00\x00\x00\x00".to_vec(),
             1 => b"Qmost-of-a-frame".to_vec(),
             2 => b"PG\xff".to_vec(),     // bad version
-            3 => b"PG\x01\x7f".to_vec(), // bad opcode
+            3 => b"PG\x03\x7f".to_vec(), // bad opcode
             _ => {
                 // Valid prefix, absurd declared payload length.
-                let mut f = Envelope::ingest(b"alpha", b"x").encode();
+                let mut f = Envelope::ingest_seq(b"alpha", 1, 0, b"x").encode();
                 f[10..14].copy_from_slice(&u32::MAX.to_be_bytes());
                 f
             }
@@ -208,8 +238,9 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
         assert_eq!(resp.status, Status::Error, "stream {i}");
     }
 
-    // Books must balance exactly: accepted + malformed == frames sent,
-    // bad frames == garbage connections, and the gateway is still alive.
+    // Books must balance exactly: accepted + malformed + corrupt == frames
+    // sent, bad frames == garbage connections, and the gateway is still
+    // alive.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let text = registry.metrics_text();
@@ -217,6 +248,10 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
         let malformed = counter_value(
             &text,
             "pnm_gateway_rejected_total{reason=\"malformed\",tenant=\"alpha\"}",
+        );
+        let corrupt = counter_value(
+            &text,
+            "pnm_gateway_rejected_total{reason=\"corrupt\",tenant=\"alpha\"}",
         );
         let bad: u64 = ["bad_magic", "bad_version", "bad_opcode", "oversized"]
             .iter()
@@ -227,16 +262,18 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
                 )
             })
             .sum();
-        if accepted + malformed == FLIPPED && bad == GARBAGE {
+        if accepted + malformed + corrupt == FLIPPED && bad == GARBAGE {
             assert!(
                 malformed > 0,
                 "bit flips in packet payloads should break some packets"
             );
+            assert_eq!(corrupt, FLIPPED / 2, "every post-CRC flip is caught");
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "counts never balanced: accepted={accepted} malformed={malformed} bad={bad}\n{text}"
+            "counts never balanced: accepted={accepted} malformed={malformed} \
+             corrupt={corrupt} bad={bad}\n{text}"
         );
         std::thread::sleep(Duration::from_millis(5));
     }

@@ -1,7 +1,8 @@
 //! End-to-end multi-tenant isolation: verdicts served through the gateway
 //! are **byte-identical** to per-tenant sequential engine runs, with
 //! hostile traffic (garbage envelopes, malformed payloads, unknown
-//! tenants) interleaved on the same listener and exactly counted.
+//! tenants) interleaved on the same listener, each answered with its ack
+//! code and exactly counted.
 //!
 //! The byte comparison is the whole isolation argument: if any byte of
 //! tenant B's traffic — or of the attacker's — reached tenant A's
@@ -24,9 +25,10 @@ use pnm_core::{
 };
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    Gateway, GatewayClient, GatewayConfig, IngestStatus, Response, Status, TenantConfig,
+    AckCode, Gateway, GatewayClient, GatewayConfig, Response, SeqFrame, Status, TenantConfig,
     TenantRegistry,
 };
+use pnm_obs::TraceContext;
 use pnm_service::{ServiceConfig, ServicePool};
 use pnm_wire::{Location, NodeId, Packet, Report};
 use rand::rngs::StdRng;
@@ -145,14 +147,19 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
         let packets = alpha_packets.clone();
         std::thread::spawn(move || {
             let mut c = GatewayClient::connect_uds(&sock).unwrap();
+            let mut seq = 0..;
+            let mut send = |c: &mut GatewayClient, bytes: &[u8]| {
+                let seq = seq.next().unwrap();
+                c.ingest_seq(b"alpha", 1, seq, TraceContext::NONE, bytes)
+                    .unwrap()
+                    .code
+            };
             for (i, p) in packets.iter().enumerate() {
-                c.ingest(b"alpha", &p.to_bytes()).unwrap();
+                assert_eq!(send(&mut c, &p.to_bytes()), AckCode::Accepted);
                 if i % 7 == 0 {
-                    c.ingest(b"alpha", b"not a canonical packet").unwrap();
+                    assert_eq!(send(&mut c, b"not a canonical packet"), AckCode::Malformed);
                 }
             }
-            // A response-bearing request syncs the stream: once answered,
-            // every prior frame on this connection has been dispatched.
             c.snapshot(b"alpha").unwrap()
         })
     };
@@ -162,9 +169,16 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
         std::thread::spawn(move || {
             let mut c = GatewayClient::connect_uds(&sock).unwrap();
             for (i, p) in packets.iter().enumerate() {
-                c.ingest(b"beta", &p.to_bytes()).unwrap();
+                let seq = i as u64;
+                let ack = c
+                    .ingest_seq(b"beta", 2, seq, TraceContext::NONE, &p.to_bytes())
+                    .unwrap();
+                assert_eq!(ack.code, AckCode::Accepted);
                 if i % 9 == 0 {
-                    c.ingest(b"ghost", &p.to_bytes()).unwrap();
+                    let ack = c
+                        .ingest_seq(b"ghost", 2, seq, TraceContext::NONE, &p.to_bytes())
+                        .unwrap();
+                    assert_eq!(ack.code, AckCode::UnknownTenant);
                 }
             }
             c.snapshot(b"beta").unwrap()
@@ -266,17 +280,17 @@ fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
         .unwrap();
 
     let now = Instant::now();
-    for p in &alpha_packets {
-        assert_eq!(
-            registry.ingest(b"alpha", &p.to_bytes(), now),
-            IngestStatus::Accepted
-        );
-    }
-    for p in &beta_packets {
-        assert_eq!(
-            registry.ingest(b"beta", &p.to_bytes(), now),
-            IngestStatus::Accepted
-        );
+    for (tenant, packets) in [
+        (&b"alpha"[..], &alpha_packets),
+        (&b"beta"[..], &beta_packets),
+    ] {
+        for (seq, p) in packets.iter().enumerate() {
+            let payload = SeqFrame::encode_payload(tenant, 1, seq as u64, &p.to_bytes());
+            assert_eq!(
+                registry.ingest_seq(tenant, &payload, now).code,
+                AckCode::Accepted
+            );
+        }
     }
     wait_for_quiescence(&registry);
     let va = registry.drain(b"alpha").unwrap();

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pnm_core::store::Evidence;
 use pnm_core::{
@@ -26,6 +26,7 @@ use pnm_gateway::{
     GatewayConfig, ResilientClient, ResilientConfig, Response, SendOutcome, Status, TenantConfig,
     TenantRegistry,
 };
+use pnm_obs::TraceContext;
 use pnm_service::{BackpressurePolicy, ServiceConfig, ServicePool};
 use pnm_wire::{Location, NodeId, Packet, Report};
 use rand::rngs::StdRng;
@@ -231,7 +232,9 @@ fn drain_twice_is_cached_and_ingest_after_drain_is_structured_rejection() {
 
     let mut c = GatewayClient::connect_uds(&sock).unwrap();
     for (seq, p) in packets.iter().enumerate() {
-        let ack = c.ingest_seq(b"alpha", 3, seq as u64, p).unwrap();
+        let ack = c
+            .ingest_seq(b"alpha", 3, seq as u64, TraceContext::NONE, p)
+            .unwrap();
         assert_eq!(ack.code, AckCode::Accepted);
     }
 
@@ -240,7 +243,9 @@ fn drain_twice_is_cached_and_ingest_after_drain_is_structured_rejection() {
     assert_eq!(v1, v2, "second drain returns the cached verdict verbatim");
     assert!(!v1.evidence_bytes.is_empty());
 
-    let ack = c.ingest_seq(b"alpha", 3, 10, &packets[0]).unwrap();
+    let ack = c
+        .ingest_seq(b"alpha", 3, 10, TraceContext::NONE, &packets[0])
+        .unwrap();
     assert_eq!(ack.code, AckCode::Drained);
     assert!(!ack.code.is_counted());
     assert!(!ack.code.is_retryable(), "drained is terminal");
@@ -256,33 +261,57 @@ fn drain_twice_is_cached_and_ingest_after_drain_is_structured_rejection() {
 
     // A retry of an already-counted frame still resolves as Duplicate
     // even after the pool is gone: acked ≡ counted survives the drain.
-    let ack = c.ingest_seq(b"alpha", 3, 4, &packets[4]).unwrap();
+    let ack = c
+        .ingest_seq(b"alpha", 3, 4, TraceContext::NONE, &packets[4])
+        .unwrap();
     assert_eq!(ack.code, AckCode::Duplicate);
 
     handle.shutdown();
 }
 
+/// The canonical evidence one sequential engine produces over `packets`,
+/// mirroring the pool's drain semantics (per-packet processing without
+/// the isolation stage, then the policy applied once to the merged graph).
+fn sequential_evidence(ks: &Arc<KeyStore>, packets: &[Vec<u8>]) -> Vec<u8> {
+    let mut seq_engine = SinkEngine::new(Arc::clone(ks), sink_config().without_isolation());
+    for p in packets {
+        seq_engine.ingest(&Packet::from_bytes(p).unwrap());
+    }
+    let mut merged = SinkEngine::new(Arc::clone(ks), sink_config());
+    merged.absorb(&seq_engine);
+    merged.refresh_quarantine();
+    merged.quarantine_source_regions();
+    merged.evidence().to_bytes()
+}
+
 /// Graceful shutdown: health/readiness answer over the wire, the gateway
 /// stops accepting, in-flight connections flush, and every tenant's final
 /// evidence checkpoint lands durably — recoverable into the exact
-/// evidence a solo sequential run produces.
+/// evidence a solo sequential run produces. A second gateway life over
+/// the same evidence directory picks that log up: its final drain equals
+/// one sequential engine over the packets of both lives, byte for byte.
 #[test]
 fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
     const PACKETS: u64 = 30;
+    const RESTART_PACKETS: u64 = 20;
     let dir = temp_path("graceful-logs");
     std::fs::create_dir_all(&dir).unwrap();
     let ks = keys(b"graceful-secret");
-    let packets = workload(&ks, PACKETS, 0x6F0D);
-    let registry = Arc::new(
-        TenantRegistry::builder()
-            .tenant(
-                "alpha",
-                TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(2)),
-            )
-            .evidence_dir(&dir)
-            .build()
-            .unwrap(),
-    );
+    let all_packets = workload(&ks, PACKETS + RESTART_PACKETS, 0x6F0D);
+    let (packets, restart_packets) = all_packets.split_at(PACKETS as usize);
+    let registry_over_dir = || {
+        Arc::new(
+            TenantRegistry::builder()
+                .tenant(
+                    "alpha",
+                    TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(2)),
+                )
+                .evidence_dir(&dir)
+                .build()
+                .unwrap(),
+        )
+    };
+    let registry = registry_over_dir();
     let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
     let sock = temp_path("graceful.sock");
     gw.listen_uds(&sock).unwrap();
@@ -293,7 +322,9 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
         c.health().unwrap();
         assert!(c.ready().unwrap(), "ready before drain");
         for (seq, p) in packets.iter().enumerate() {
-            let ack = c.ingest_seq(b"alpha", 11, seq as u64, p).unwrap();
+            let ack = c
+                .ingest_seq(b"alpha", 11, seq as u64, TraceContext::NONE, p)
+                .unwrap();
             assert_eq!(ack.code, AckCode::Accepted);
         }
         assert!(!handle.is_draining());
@@ -318,16 +349,30 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
     .unwrap();
     assert_eq!(stats.packets_restored, PACKETS as usize);
     let recovered = pool.drain().engine.evidence().to_bytes();
+    assert_eq!(recovered, sequential_evidence(&ks, packets));
+    drop(registry);
 
-    let mut seq_engine = SinkEngine::new(Arc::clone(&ks), sink_config().without_isolation());
-    for p in &packets {
-        seq_engine.ingest(&Packet::from_bytes(p).unwrap());
+    // Second life: a fresh registry over the same directory replays the
+    // first life's log, so its drain covers every packet ever acked.
+    let registry = registry_over_dir();
+    let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+    let sock = temp_path("graceful-restart.sock");
+    gw.listen_uds(&sock).unwrap();
+    let handle = gw.spawn().unwrap();
+    let mut c = GatewayClient::connect_uds(&sock).unwrap();
+    for (seq, p) in restart_packets.iter().enumerate() {
+        let ack = c
+            .ingest_seq(b"alpha", 12, seq as u64, TraceContext::NONE, p)
+            .unwrap();
+        assert_eq!(ack.code, AckCode::Accepted);
     }
-    let mut merged = SinkEngine::new(Arc::clone(&ks), sink_config());
-    merged.absorb(&seq_engine);
-    merged.refresh_quarantine();
-    merged.quarantine_source_regions();
-    assert_eq!(recovered, merged.evidence().to_bytes());
+    let verdict = c.drain(b"alpha").unwrap();
+    assert_eq!(
+        verdict.evidence_bytes,
+        sequential_evidence(&ks, &all_packets),
+        "the restarted gateway's drain covers both lives"
+    );
+    handle.shutdown();
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -363,7 +408,9 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
     let handle = gw.spawn().unwrap();
 
     let mut c = GatewayClient::connect_uds(&sock).unwrap();
-    let first = c.ingest_seq(b"busy", 9, 0, &packets[0]).unwrap();
+    let first = c
+        .ingest_seq(b"busy", 9, 0, TraceContext::NONE, &packets[0])
+        .unwrap();
     assert_eq!(first.code, AckCode::Accepted);
 
     // The paused shard drains nothing, so within a few more frames the
@@ -371,7 +418,9 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
     let mut busy_ack = None;
     let mut accepted = 1u64;
     for (seq, p) in packets.iter().enumerate().skip(1) {
-        let ack = c.ingest_seq(b"busy", 9, seq as u64, p).unwrap();
+        let ack = c
+            .ingest_seq(b"busy", 9, seq as u64, TraceContext::NONE, p)
+            .unwrap();
         match ack.code {
             AckCode::Accepted => accepted += 1,
             AckCode::Busy => {
@@ -388,7 +437,9 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
 
     // Retrying the very first (already counted) frame while the queue is
     // still full: Duplicate, no token burned, no queue slot needed.
-    let dup = c.ingest_seq(b"busy", 9, 0, &packets[0]).unwrap();
+    let dup = c
+        .ingest_seq(b"busy", 9, 0, TraceContext::NONE, &packets[0])
+        .unwrap();
     assert_eq!(dup.code, AckCode::Duplicate);
 
     // Drain resumes the paused pool; exactly the accepted frames count.
@@ -408,11 +459,12 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
     handle.shutdown();
 }
 
-/// Version compatibility on the wire: a v1 envelope still ingests, and a
-/// v1 frame carrying a v2-only opcode is answered with a structured
-/// protocol error rather than being misread.
+/// Version gating on the wire: the current version's frames ingest, and
+/// a frame with an older version byte is answered with a structured
+/// protocol error and counted — never misread as a current frame.
 #[test]
-fn v1_frames_interoperate_and_v2_opcodes_are_gated() {
+fn only_current_version_frames_are_served() {
+    use std::io::{Read, Write};
     let ks = keys(b"compat-secret");
     let packets = workload(&ks, 1, 0xC0DE);
     let registry = Arc::new(
@@ -429,32 +481,37 @@ fn v1_frames_interoperate_and_v2_opcodes_are_gated() {
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
 
-    // A v1 client: same bytes, version byte 1. Plain ingest must work.
-    use std::io::{Read, Write};
-    let mut v1 = std::os::unix::net::UnixStream::connect(&sock).unwrap();
-    let mut frame = Envelope::ingest(b"alpha", &packets[0]).encode();
-    frame[2] = 1;
-    v1.write_all(&frame).unwrap();
-
-    // A v1 frame with a v2-only opcode (IngestSeq) is a protocol error.
-    let mut frame = Envelope::ingest_seq(b"alpha", 1, 0, &packets[0]).encode();
-    frame[2] = 1;
-    v1.write_all(&frame).unwrap();
-    let mut raw = Vec::new();
-    v1.read_to_end(&mut raw).unwrap();
-    let (resp, _) = Response::decode(&raw, 1 << 20).unwrap().unwrap();
-    assert_eq!(resp.status, Status::Error);
-
-    // The v1 ingest that preceded the bad frame was admitted.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let text = registry.metrics_text();
-        if metric(&text, "pnm_gateway_ingested_total", &["tenant=\"alpha\""]) == Some(1) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "v1 ingest never admitted");
-        std::thread::sleep(Duration::from_millis(2));
+    for old in [1u8, 2] {
+        let mut conn = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+        let mut frame = Envelope::ingest_seq(b"alpha", 1, 0, &packets[0]).encode();
+        frame[2] = old;
+        conn.write_all(&frame).unwrap();
+        let mut raw = Vec::new();
+        conn.read_to_end(&mut raw).unwrap();
+        let (resp, _) = Response::decode(&raw, 1 << 20).unwrap().unwrap();
+        assert_eq!(resp.status, Status::Error, "version {old}");
+        assert!(String::from_utf8_lossy(&resp.payload).contains("version"));
     }
+
+    // The same frame at the current version is acked and counted.
+    let mut c = GatewayClient::connect_uds(&sock).unwrap();
+    let ack = c
+        .ingest_seq(b"alpha", 1, 0, TraceContext::NONE, &packets[0])
+        .unwrap();
+    assert_eq!(ack.code, AckCode::Accepted);
+    let text = registry.metrics_text();
+    assert_eq!(
+        metric(
+            &text,
+            "pnm_gateway_bad_frames_total",
+            &["reason=\"bad_version\""]
+        ),
+        Some(2)
+    );
+    assert_eq!(
+        metric(&text, "pnm_gateway_ingested_total", &["tenant=\"alpha\""]),
+        Some(1)
+    );
 
     handle.shutdown();
 }

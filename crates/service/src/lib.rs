@@ -27,9 +27,10 @@
 //!   poison ([`PoisonRecord`]) and quarantined, and the shard restarts
 //!   from a fresh engine plus its last good checkpoint. A drain watchdog
 //!   ([`ServiceConfig::drain_timeout`]) bounds how long
-//!   [`ServicePool::drain`] waits for a wedged shard, and
-//!   [`ServicePool::ingest_with_retry`] adds bounded retry-with-backoff
-//!   under shedding.
+//!   [`ServicePool::drain`] waits for a wedged shard. Under shedding,
+//!   [`ServicePool::ingest`] returns [`IngestError::Shed`] and the caller
+//!   decides whether to retry (the gateway answers a retryable `Busy`
+//!   ack).
 //! * **Durability.** [`ServiceConfig::store`] attaches an
 //!   [`EvidenceStore`](pnm_core::EvidenceStore) (typically the
 //!   append-only [`LogStore`](pnm_core::LogStore)): each shard appends an

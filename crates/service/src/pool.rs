@@ -13,9 +13,9 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use pnm_core::store::{Evidence, EvidenceStore, LogStore, StoreError};
-use pnm_core::{SinkConfig, SinkEngine, SinkOutcome, StageMetrics};
+use pnm_core::{Arrival, SinkConfig, SinkEngine, SinkOutcome, StageMetrics};
 use pnm_crypto::KeyStore;
-use pnm_obs::{Counter, FieldValue, FlightRecorder, Registry, TraceContext};
+use pnm_obs::{Counter, FieldValue, FlightRecorder, Registry};
 use pnm_wire::Packet;
 
 use crate::config::{BackpressurePolicy, PoisonHook, ServiceConfig};
@@ -47,13 +47,11 @@ impl std::error::Error for IngestError {}
 /// One enqueued unit of work.
 struct Job {
     seq: u64,
-    now_us: u64,
     enqueued: Instant,
-    /// Trace context carried across the queue hand-off: the shard engine
-    /// opens its `sink.ingest` span inside it, so the packet's pool pass
-    /// stays in the trace the caller (gateway/client) started.
-    ctx: TraceContext,
-    packet: Packet,
+    /// The arrival record, trace context included: it rides the queue
+    /// hand-off, so the shard engine opens its `sink.ingest` span inside
+    /// the trace the caller (gateway/client) started.
+    arrival: Arrival<Packet>,
 }
 
 /// Live telemetry a worker publishes after every packet.
@@ -371,16 +369,12 @@ impl ServicePool {
         (fnv1a64(&packet.report.to_bytes()) % self.shards() as u64) as usize
     }
 
-    /// Enqueues a packet, stamped with the report's own timestamp (as
-    /// [`SinkEngine::ingest`] does). Returns the packet's admission
-    /// sequence number.
-    pub fn ingest(&self, packet: Packet) -> Result<u64, IngestError> {
-        let now_us = packet.report.timestamp;
-        self.ingest_at(packet, now_us)
-    }
-
-    /// Enqueues a packet with an explicit arrival clock for the
-    /// classifier's rate window.
+    /// Enqueues one arrival and returns its admission sequence number. A
+    /// bare [`Packet`] converts into the default [`Arrival`] (the report's
+    /// own timestamp, untraced), exactly as [`SinkEngine::ingest`] takes
+    /// it. A traced arrival's context rides the shard queue with the
+    /// packet and the worker's engine opens its spans inside it, so
+    /// parentage survives the thread hand-off.
     ///
     /// Under [`BackpressurePolicy::Block`] a full shard queue blocks the
     /// caller until the shard catches up; under
@@ -388,22 +382,9 @@ impl ServicePool {
     /// counted, and `Err(IngestError::Shed)` is returned. Sequence numbers
     /// are admission tickets: a shed ticket never reappears, so retained
     /// outcomes may have gaps under shedding.
-    pub fn ingest_at(&self, packet: Packet, now_us: u64) -> Result<u64, IngestError> {
-        self.ingest_ctx(packet, now_us, TraceContext::NONE)
-    }
-
-    /// [`ServicePool::ingest_at`] inside a caller-supplied trace
-    /// context. The context rides the shard queue with the packet and
-    /// the worker's engine opens its spans inside it — parentage
-    /// survives the thread hand-off. [`TraceContext::NONE`] makes this
-    /// identical to `ingest_at`.
-    pub fn ingest_ctx(
-        &self,
-        packet: Packet,
-        now_us: u64,
-        ctx: TraceContext,
-    ) -> Result<u64, IngestError> {
-        let shard = self.shard_of(&packet);
+    pub fn ingest(&self, arrival: impl Into<Arrival<Packet>>) -> Result<u64, IngestError> {
+        let arrival = arrival.into();
+        let shard = self.shard_of(&arrival.packet);
         // Clone the sender out of the lock so a blocking send never holds
         // the senders mutex against `close`.
         let tx = {
@@ -416,10 +397,8 @@ impl ServicePool {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             seq,
-            now_us,
             enqueued: Instant::now(),
-            ctx,
-            packet,
+            arrival,
         };
         match self.config.backpressure_policy() {
             BackpressurePolicy::Block => {
@@ -436,34 +415,6 @@ impl ServicePool {
         }
         self.accepted[shard].inc();
         Ok(seq)
-    }
-
-    /// Like [`ingest`](Self::ingest), but when the target shard sheds the
-    /// packet, sleeps and retries with exponential backoff — up to
-    /// `max_attempts` sends in total — before giving up with
-    /// [`IngestError::Shed`]. Every failed attempt is counted in the
-    /// shard's shed counter, so `max_attempts` tries that all shed leave
-    /// exactly `max_attempts` in the accounting. [`IngestError::Closed`]
-    /// is returned immediately — backoff cannot reopen a closed service.
-    pub fn ingest_with_retry(
-        &self,
-        packet: Packet,
-        max_attempts: u32,
-        initial_backoff: Duration,
-    ) -> Result<u64, IngestError> {
-        assert!(max_attempts >= 1, "retry needs at least one attempt");
-        let now_us = packet.report.timestamp;
-        let mut backoff = initial_backoff;
-        for attempt in 1..=max_attempts {
-            match self.ingest_at(packet.clone(), now_us) {
-                Err(IngestError::Shed) if attempt < max_attempts => {
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                result => return result,
-            }
-        }
-        Err(IngestError::Shed)
     }
 
     /// Releases workers held at the start gate (no-op when not paused).
@@ -758,11 +709,11 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
         let queue_wait = dequeued.duration_since(job.enqueued).as_micros() as u64;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(hook) = &ctx.poison {
-                if hook(&job.packet) {
+                if hook(&job.arrival.packet) {
                     panic!("injected poison packet (seq {})", job.seq);
                 }
             }
-            engine.ingest_ctx(&job.packet, job.now_us, job.ctx)
+            engine.ingest(job.arrival.as_ref())
         }));
         let service = dequeued.elapsed().as_micros() as u64;
         match result {
@@ -787,7 +738,7 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
                         let _ = flight.dump(
                             "store_error",
                             &[
-                                ("trace", FieldValue::U64(job.ctx.trace)),
+                                ("trace", FieldValue::U64(job.arrival.ctx.trace)),
                                 ("seq", FieldValue::U64(job.seq)),
                                 ("shard", FieldValue::U64(ctx.shard as u64)),
                             ],
@@ -826,7 +777,7 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
                 let record = PoisonRecord {
                     seq: job.seq,
                     shard: ctx.shard,
-                    bytes: job.packet.to_bytes(),
+                    bytes: job.arrival.packet.to_bytes(),
                     panic: panic_message(payload.as_ref()),
                 };
                 // Black-box the quarantine: the dump names the poisoned
@@ -836,7 +787,7 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
                     let _ = flight.dump(
                         "poison_quarantine",
                         &[
-                            ("trace", FieldValue::U64(job.ctx.trace)),
+                            ("trace", FieldValue::U64(job.arrival.ctx.trace)),
                             ("seq", FieldValue::U64(job.seq)),
                             ("shard", FieldValue::U64(ctx.shard as u64)),
                             ("panic", FieldValue::Str(record.panic.clone())),
@@ -1143,65 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_gives_up_with_exact_shed_accounting() {
-        let ks = keys(4);
-        let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
-            .shards(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Shed)
-            .start_paused(true);
-        let pool = ServicePool::new(Arc::clone(&ks), config);
-        let mut rng = StdRng::seed_from_u64(2);
-        pool.ingest(marked_packet(&ks, 4, 0, &mut rng)).unwrap();
-        let err = pool
-            .ingest_with_retry(
-                marked_packet(&ks, 4, 1, &mut rng),
-                3,
-                Duration::from_millis(1),
-            )
-            .unwrap_err();
-        assert_eq!(err, IngestError::Shed);
-        assert_eq!(pool.snapshot().shed, 3);
-        let report = pool.drain();
-        assert_eq!(report.snapshot.accepted, 1);
-        assert_eq!(report.snapshot.processed, 1);
-        assert_eq!(report.snapshot.shed, 3);
-    }
-
-    #[test]
-    fn retry_succeeds_once_the_shard_catches_up() {
-        let ks = keys(4);
-        let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
-            .shards(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Shed)
-            .start_paused(true);
-        let pool = Arc::new(ServicePool::new(Arc::clone(&ks), config));
-        let mut rng = StdRng::seed_from_u64(6);
-        pool.ingest(marked_packet(&ks, 4, 0, &mut rng)).unwrap();
-        let resumer = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                pool.resume();
-            })
-        };
-        // Failed attempts burn admission tickets, so the eventual ticket
-        // is > 1; what matters is that the retry lands.
-        pool.ingest_with_retry(
-            marked_packet(&ks, 4, 1, &mut rng),
-            10,
-            Duration::from_millis(10),
-        )
-        .expect("queue frees up once the worker resumes");
-        resumer.join().unwrap();
-        let pool = Arc::try_unwrap(pool).unwrap_or_else(|_| panic!("sole owner"));
-        let report = pool.drain();
-        assert_eq!(report.snapshot.processed, 2);
-    }
-
-    #[test]
-    fn ingest_after_close_fails_promptly_without_backoff() {
+    fn ingest_after_close_fails_promptly() {
         let ks = keys(4);
         let pool = ServicePool::new(
             Arc::clone(&ks),
@@ -1212,17 +1105,6 @@ mod tests {
         let started = Instant::now();
         assert_eq!(
             pool.ingest(marked_packet(&ks, 4, 0, &mut rng)).unwrap_err(),
-            IngestError::Closed
-        );
-        // Closed is terminal: the retry helper must not burn its backoff
-        // schedule (5 s initial here) before reporting it.
-        assert_eq!(
-            pool.ingest_with_retry(
-                marked_packet(&ks, 4, 1, &mut rng),
-                5,
-                Duration::from_secs(5)
-            )
-            .unwrap_err(),
             IngestError::Closed
         );
         assert!(started.elapsed() < Duration::from_secs(1));

@@ -1,8 +1,9 @@
 //! Trace propagation across the shard hand-off, property-tested: a
-//! [`TraceContext`] passed into [`ServicePool::ingest_ctx`] rides the
-//! shard queue with its packet, and the worker thread's engine opens its
-//! `sink.ingest` and stage spans **inside** that context — parentage
-//! survives the thread boundary for any shard count and interleaving.
+//! `TraceContext` carried by the `Arrival` given to `ServicePool::ingest`
+//! rides the shard queue with its packet, and the worker thread's engine
+//! opens its `sink.ingest` and stage spans **inside** that context —
+//! parentage survives the thread boundary for any shard count and
+//! interleaving.
 //!
 //! Each ingested packet gets its own root context, so the collector must
 //! end up with exactly one `sink.ingest` span per context, parented to
@@ -12,9 +13,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
+use pnm_core::{
+    Arrival, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode,
+};
 use pnm_crypto::KeyStore;
-use pnm_obs::{Event, EventKind, ShardedRingCollector, TraceContext, Tracer};
+use pnm_obs::{Event, EventKind, ShardedRingCollector, Tracer};
 use pnm_service::{ServiceConfig, ServicePool};
 use pnm_wire::{Location, NodeId, Packet, Report};
 use proptest::prelude::*;
@@ -72,11 +75,11 @@ proptest! {
             let span = tracer.span_root("caller.ingest");
             let ctx = span.context().unwrap();
             prop_assert!(minted.insert(ctx.trace, ctx.parent).is_none());
-            pool.ingest_ctx(pkt, 0, ctx).unwrap();
+            pool.ingest(Arrival::new(pkt).at(0).traced(ctx)).unwrap();
         }
         // An untraced packet mixed in must stay untraced (legacy path).
         let (_, extra) = packets(1, seed ^ 0xFF);
-        pool.ingest_ctx(extra.into_iter().next().unwrap(), 0, TraceContext::NONE)
+        pool.ingest(Arrival::new(extra.into_iter().next().unwrap()).at(0))
             .unwrap();
         pool.drain();
 

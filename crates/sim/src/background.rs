@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use pnm_core::{
-    EventRegistry, MarkingScheme, NodeContext, ProbabilisticNestedMarking, RouteReconstructor,
-    SinkConfig, TrafficClassifier, Verdict, VerifyMode, VolumeMonitor,
+    Arrival, EventRegistry, MarkingScheme, NodeContext, ProbabilisticNestedMarking,
+    RouteReconstructor, SinkConfig, TrafficClassifier, Verdict, VerifyMode, VolumeMonitor,
 };
 use pnm_net::{Network, Topology};
 use pnm_service::{ServiceConfig, ServicePool};
@@ -194,7 +194,7 @@ pub fn run_background_traffic(
         // by the admission ticket. With one producer and no shedding the
         // tickets are dense, so this index maps ticket → ground truth.
         let ticket = sink
-            .ingest_at(pkt, now)
+            .ingest(Arrival::new(pkt).at(now))
             .expect("block policy accepts every packet");
         debug_assert_eq!(ticket as usize, is_attack_by_ticket.len());
         is_attack_by_ticket.push(is_attack);

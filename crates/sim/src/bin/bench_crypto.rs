@@ -1,7 +1,7 @@
 //! Measures the precomputed-key HMAC pipeline against the one-shot baseline,
-//! serial vs parallel vs lane-parallel anonymous-ID table builds, and the
-//! lane-parallel (SIMD multi-buffer) batched MAC path, recording the results
-//! in `BENCH_crypto.json`.
+//! serial vs lane-parallel anonymous-ID table builds, and the lane-parallel
+//! (SIMD multi-buffer) batched MAC path, recording the results in
+//! `BENCH_crypto.json`.
 //!
 //! ```text
 //! bench-crypto [--out FILE] [--smoke]
@@ -23,15 +23,15 @@
 //!    struct-of-arrays fallback).
 //! 3. **Anon-table build** at N ∈ {100, 300, 1000} nodes: the pre-change
 //!    serial baseline (one-shot `anon_id` per node into a `Vec`-per-entry
-//!    map), the precomputed serial build (`AnonTable::build`), the sharded
-//!    build (`AnonTable::build_parallel`, 4 threads requested), and the
-//!    lane-parallel build (`AnonTable::build_parallel_lanes_with`).
+//!    map), the precomputed scalar reference build (`AnonTable::build_with`),
+//!    and the lane-parallel build the sink runs
+//!    (`AnonTable::build_parallel_lanes_with`, 4 threads requested).
 //!
 //! Every variant is checked for output equivalence before timing — the fast
 //! paths must be pure optimizations. `--smoke` runs the equivalence checks
 //! with tiny iteration counts and writes nothing, for CI.
 //!
-//! The parallel builds dispatch the requested worker count **without**
+//! The lane build dispatches the requested worker count **without**
 //! clamping to `available_parallelism`; `parallel_workers` per table entry
 //! reports what [`AnonTable::parallel_workers`] actually dispatched. Since
 //! the small-input regression fix, builds under
@@ -137,16 +137,16 @@ fn build_oneshot_baseline(keys: &KeyStore, report_bytes: &[u8]) -> HashMap<AnonI
     map
 }
 
-/// Asserts the table-build variants — serial, thread-parallel, and
-/// lane-parallel — resolve identically to the one-shot baseline.
+/// Asserts the table-build variants — scalar reference, lane-parallel,
+/// and thread-sharded lane-parallel — resolve identically to the one-shot
+/// baseline.
 fn check_table_equivalence(keys: &KeyStore, report_bytes: &[u8]) {
+    let schedule = keys.schedule();
     let baseline = build_oneshot_baseline(keys, report_bytes);
-    let serial = AnonTable::build(keys, report_bytes);
-    let parallel = AnonTable::build_parallel(keys, report_bytes, PARALLEL_THREADS);
-    let lanes = AnonTable::build_lanes(keys, report_bytes);
+    let serial = AnonTable::build_with(&schedule, report_bytes);
+    let lanes = AnonTable::build_lanes_with(&schedule, report_bytes);
     let lanes_parallel =
-        AnonTable::build_parallel_lanes_with(&keys.schedule(), report_bytes, PARALLEL_THREADS);
-    assert_eq!(serial, parallel, "parallel build must be map-identical");
+        AnonTable::build_parallel_lanes_with(&schedule, report_bytes, PARALLEL_THREADS);
     assert_eq!(serial, lanes, "lane build must be map-identical");
     assert_eq!(
         serial, lanes_parallel,
@@ -155,7 +155,6 @@ fn check_table_equivalence(keys: &KeyStore, report_bytes: &[u8]) {
     assert_eq!(serial.len(), baseline.len());
     for (aid, cands) in &baseline {
         assert_eq!(serial.resolve(aid), cands.as_slice(), "aid {aid}");
-        assert_eq!(parallel.resolve(aid), cands.as_slice(), "aid {aid}");
         assert_eq!(lanes.resolve(aid), cands.as_slice(), "aid {aid}");
     }
 }
@@ -259,7 +258,6 @@ struct TableResult {
     workers: usize,
     oneshot_ns: f64,
     serial_ns: f64,
-    parallel_ns: f64,
     lanes_ns: f64,
 }
 
@@ -271,13 +269,12 @@ fn bench_table(nodes: u16, repeats: usize, iters: usize) -> TableResult {
     // (the schedule is built once per deployment, not per report).
     let schedule = keys.schedule();
 
-    let [oneshot_ns, serial_ns, parallel_ns, lanes_ns] = time_interleaved(
+    let [oneshot_ns, serial_ns, lanes_ns] = time_interleaved(
         repeats,
         iters,
         &mut [
             &mut || build_oneshot_baseline(&keys, &report_bytes).len(),
-            &mut || AnonTable::build(&keys, &report_bytes).len(),
-            &mut || AnonTable::build_parallel(&keys, &report_bytes, PARALLEL_THREADS).len(),
+            &mut || AnonTable::build_with(&schedule, &report_bytes).len(),
             &mut || {
                 AnonTable::build_parallel_lanes_with(&schedule, &report_bytes, PARALLEL_THREADS)
                     .len()
@@ -289,7 +286,6 @@ fn bench_table(nodes: u16, repeats: usize, iters: usize) -> TableResult {
         workers: AnonTable::parallel_workers(nodes as usize, PARALLEL_THREADS),
         oneshot_ns,
         serial_ns,
-        parallel_ns,
         lanes_ns,
     }
 }
@@ -370,10 +366,8 @@ fn main() -> ExitCode {
                     "      \"parallel_workers\": {},\n",
                     "      \"serial_oneshot_ns\": {:.0},\n",
                     "      \"serial_precomputed_ns\": {:.0},\n",
-                    "      \"parallel_precomputed_ns\": {:.0},\n",
                     "      \"lanes_ns\": {:.0},\n",
                     "      \"speedup_serial_precomputed\": {:.2},\n",
-                    "      \"speedup_parallel_vs_oneshot\": {:.2},\n",
                     "      \"speedup_lanes_vs_serial\": {:.2}\n",
                     "    }}"
                 ),
@@ -381,10 +375,8 @@ fn main() -> ExitCode {
                 t.workers,
                 t.oneshot_ns,
                 t.serial_ns,
-                t.parallel_ns,
                 t.lanes_ns,
                 t.oneshot_ns / t.serial_ns,
-                t.oneshot_ns / t.parallel_ns,
                 t.serial_ns / t.lanes_ns,
             )
         })

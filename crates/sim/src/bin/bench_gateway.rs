@@ -1,6 +1,6 @@
-//! Measures multi-tenant gateway ingest over a Unix-domain socket,
-//! recording throughput and server-side ingest latency quantiles in
-//! `BENCH_gateway.json`.
+//! Measures multi-tenant acked ingest through the gateway over a
+//! Unix-domain socket, recording throughput and ack round-trip latency
+//! quantiles in `BENCH_gateway.json`.
 //!
 //! ```text
 //! bench_gateway [--out FILE] [--smoke]
@@ -8,26 +8,26 @@
 //!
 //! Each run stands up one [`Gateway`] over a fresh UDS path with N
 //! tenants (N ∈ {1, 4, 16}), each tenant with its own keystore and its
-//! own single-shard [`pnm_service`] pool. One client connection per
-//! tenant pipelines a pre-marked packet batch through the framed
-//! envelope protocol, then syncs with a `Snapshot` round-trip. Two wall
-//! clocks are kept:
+//! own single-shard [`pnm_service`] pool. One [`ResilientClient`] per
+//! tenant sends a pre-marked packet batch as sequenced `IngestSeq`
+//! frames, stop-and-wait: each send waits for its ack before the next
+//! frame goes out. Two wall clocks are kept:
 //!
-//! - **ingest wall**: first byte sent → every tenant's sync response,
-//!   i.e. every frame parsed, admitted, and enqueued;
-//! - **end-to-end wall**: first byte sent → every tenant's backlog at
+//! - **ingest wall**: first frame sent → every tenant's last ack, i.e.
+//!   every frame admitted, enqueued, and acked exactly once;
+//! - **end-to-end wall**: first frame sent → every tenant's backlog at
 //!   zero, i.e. every packet carries a verdict. Throughput is computed
 //!   against this clock — frames parked in a queue are not "done".
 //!
-//! Latency quantiles come from the pools' own `total_us` histograms
-//! (enqueue → verdict, measured server-side), scraped from the tenant
-//! snapshot JSON; the reported p50/p99 are the **worst tenant's**
-//! values, a conservative bound chosen over cross-tenant merging so a
-//! starved tenant cannot hide behind a fast one.
+//! Latency quantiles are exact, over the client-side wall time of every
+//! `send` (frame out → trustworthy ack in); the reported p50/p99 are the
+//! **worst tenant's** values, a conservative bound chosen over
+//! cross-tenant merging so a starved tenant cannot hide behind a fast
+//! one.
 //!
 //! `--smoke` runs a 2-tenant batch with tiny counts, asserts the books
-//! balance (every frame accepted, verdicts drain cleanly), and writes
-//! nothing — CI-sized, UDS only, no TCP port.
+//! balance (every frame acked `Accepted`, verdicts drain cleanly), and
+//! writes nothing — CI-sized, UDS only, no TCP port.
 
 use std::env;
 use std::process::ExitCode;
@@ -37,7 +37,10 @@ use std::time::{Duration, Instant};
 
 use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
-use pnm_gateway::{Gateway, GatewayClient, GatewayConfig, TenantConfig, TenantRegistry};
+use pnm_gateway::{
+    AckCode, Connector, Gateway, GatewayConfig, ResilientClient, ResilientConfig, SendOutcome,
+    TenantConfig, TenantRegistry,
+};
 use pnm_service::ServiceConfig;
 use pnm_wire::{Location, NodeId, Packet, Report};
 use rand::rngs::StdRng;
@@ -60,20 +63,18 @@ fn temp_sock(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// First integer following `key` after the first occurrence of `anchor`
-/// — enough of a scanner for the snapshot JSON and metrics text this
-/// bench reads back, without growing a parser dependency.
-fn scan_u64(text: &str, anchor: &str, key: &str) -> u64 {
-    let Some(at) = text.find(anchor) else {
-        return 0;
-    };
-    let tail = &text[at + anchor.len()..];
-    let Some(kat) = tail.find(key) else { return 0 };
-    let rest = tail[kat + key.len()..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().unwrap_or(0)
+/// The integer value of the metrics-text line for `series`, or 0.
+fn counter(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// Exact `q`-quantile (nearest rank) of sorted samples.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// A tenant's pre-marked ingest batch: canonical packet bytes, ready to
@@ -104,11 +105,11 @@ struct RunResult {
     ingest_wall_ms: f64,
     e2e_wall_ms: f64,
     throughput_pps: f64,
-    p50_ingest_us: u64,
-    p99_ingest_us: u64,
+    p50_ack_us: u64,
+    p99_ack_us: u64,
 }
 
-/// One full scenario: N tenants, one pipelined UDS connection each.
+/// One full scenario: N tenants, one stop-and-wait acked client each.
 fn run_scenario(tenants: usize, packets_per_tenant: usize) -> RunResult {
     let names: Vec<String> = (0..tenants).map(|i| format!("t{i:02}")).collect();
     let mut builder = TenantRegistry::builder();
@@ -148,28 +149,45 @@ fn run_scenario(tenants: usize, packets_per_tenant: usize) -> RunResult {
     let clients: Vec<_> = names
         .iter()
         .zip(batches)
-        .map(|(name, batch)| {
+        .enumerate()
+        .map(|(i, (name, batch))| {
             let name = name.clone();
-            let sock = sock.clone();
+            let connector = Connector::uds(&sock);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut client = GatewayClient::connect_uds(&sock).expect("connect");
+                let session = i as u64 + 1;
+                let mut client =
+                    ResilientClient::new(connector, session, ResilientConfig::default());
+                assert!(client.ready().expect("connect"), "gateway ready");
                 barrier.wait();
+                let mut rtt_us = Vec::with_capacity(batch.len());
                 for bytes in &batch {
-                    client.ingest(name.as_bytes(), bytes).expect("ingest");
+                    let sent = Instant::now();
+                    let outcome = client.send(name.as_bytes(), bytes).expect("acked send");
+                    rtt_us.push(sent.elapsed().as_micros() as u64);
+                    assert!(
+                        matches!(
+                            outcome,
+                            SendOutcome::Counted {
+                                code: AckCode::Accepted,
+                                ..
+                            }
+                        ),
+                        "tenant {name}: every frame must be accepted, got {outcome:?}"
+                    );
                 }
-                // The snapshot round-trip proves every prior frame on
-                // this connection was parsed and dispatched.
-                client.snapshot(name.as_bytes()).expect("sync snapshot");
+                rtt_us.sort_unstable();
+                rtt_us
             })
         })
         .collect();
 
     barrier.wait();
     let start = Instant::now();
-    for c in clients {
-        c.join().expect("client thread");
-    }
+    let rtts: Vec<Vec<u64>> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
     let ingest_wall = start.elapsed();
 
     // End-to-end: every enqueued packet carries a verdict.
@@ -180,22 +198,18 @@ fn run_scenario(tenants: usize, packets_per_tenant: usize) -> RunResult {
 
     let total_packets = (tenants * packets_per_tenant) as u64;
     let metrics = registry.metrics_text();
-    let (mut p50, mut p99) = (0u64, 0u64);
     for name in &names {
-        let ingested = scan_u64(
+        let ingested = counter(
             &metrics,
             &format!("pnm_gateway_ingested_total{{tenant=\"{name}\"}}"),
-            "",
         );
         assert_eq!(
             ingested, packets_per_tenant as u64,
-            "tenant {name}: every frame must be accepted (no shed/malformed in a clean run)"
+            "tenant {name}: every frame must be counted exactly once"
         );
-        let snap = registry.snapshot_json(name.as_bytes()).expect("snapshot");
-        // First `total_us` block is the cross-shard merged stage view.
-        p50 = p50.max(scan_u64(&snap, "\"total_us\"", "\"p50_us\""));
-        p99 = p99.max(scan_u64(&snap, "\"total_us\"", "\"p99_us\""));
     }
+    let p50 = rtts.iter().map(|r| quantile(r, 0.50)).max().unwrap_or(0);
+    let p99 = rtts.iter().map(|r| quantile(r, 0.99)).max().unwrap_or(0);
     for name in &names {
         let verdict = registry.drain(name.as_bytes()).expect("drain verdict");
         assert!(
@@ -212,8 +226,8 @@ fn run_scenario(tenants: usize, packets_per_tenant: usize) -> RunResult {
         ingest_wall_ms: ingest_wall.as_secs_f64() * 1e3,
         e2e_wall_ms: e2e_ms,
         throughput_pps: total_packets as f64 / e2e_wall.as_secs_f64(),
-        p50_ingest_us: p50,
-        p99_ingest_us: p99,
+        p50_ack_us: p50,
+        p99_ack_us: p99,
     }
 }
 
@@ -243,8 +257,8 @@ fn main() -> ExitCode {
         let r = run_scenario(2, 40);
         assert_eq!(r.total_packets, 80);
         println!(
-            "bench_gateway smoke: 2 tenants, {} packets, e2e {:.1} ms, p99 {} us",
-            r.total_packets, r.e2e_wall_ms, r.p99_ingest_us
+            "bench_gateway smoke: 2 tenants, {} acked packets, e2e {:.1} ms, ack p99 {} us",
+            r.total_packets, r.e2e_wall_ms, r.p99_ack_us
         );
         return ExitCode::SUCCESS;
     }
@@ -265,8 +279,8 @@ fn main() -> ExitCode {
                     "      \"ingest_wall_ms\": {:.3},\n",
                     "      \"e2e_wall_ms\": {:.3},\n",
                     "      \"throughput_pps\": {:.0},\n",
-                    "      \"p50_ingest_us\": {},\n",
-                    "      \"p99_ingest_us\": {}\n",
+                    "      \"p50_ack_us\": {},\n",
+                    "      \"p99_ack_us\": {}\n",
                     "    }}"
                 ),
                 r.tenants,
@@ -274,18 +288,20 @@ fn main() -> ExitCode {
                 r.ingest_wall_ms,
                 r.e2e_wall_ms,
                 r.throughput_pps,
-                r.p50_ingest_us,
-                r.p99_ingest_us,
+                r.p50_ack_us,
+                r.p99_ack_us,
             )
         })
         .collect();
     let json = format!(
         concat!(
             "{{\n",
-            "  \"scenario\": \"multi-tenant gateway ingest over a Unix-domain socket\",\n",
-            "  \"note\": \"one pipelined connection per tenant; throughput is against the \
+            "  \"scenario\": \"multi-tenant acked ingest through the gateway over a \
+             Unix-domain socket\",\n",
+            "  \"note\": \"acked, stop-and-wait ingest: one ResilientClient per tenant sends \
+             one IngestSeq frame at a time and waits for its ack; throughput is against the \
              end-to-end clock (every packet carries a verdict); p50/p99 are the worst \
-             tenant's server-side enqueue-to-verdict quantiles\",\n",
+             tenant's exact client-side ack round-trip quantiles\",\n",
             "  \"workers\": {},\n",
             "  \"nodes_per_tenant\": {},\n",
             "  \"packets_per_tenant\": 500,\n",

@@ -26,9 +26,9 @@
 //! * `flight_recorder` — a full [`FlightRecorder`] (sharded ring + dump
 //!   plumbing, never triggered); must price like `sharded_ring`.
 //! * `trace_propagation` — a root span minted per packet and carried
-//!   through [`SinkEngine::ingest_ctx`], pricing the full-detail traced
-//!   path including per-stage spans; reported, not bounded — trace
-//!   detail is per-packet opt-in, not an always-on cost.
+//!   through [`SinkEngine::ingest`] in a traced [`Arrival`], pricing the
+//!   full-detail traced path including per-stage spans; reported, not
+//!   bounded — trace detail is per-packet opt-in, not an always-on cost.
 //!
 //! The variants run interleaved, several rounds each, and the minimum
 //! wall time per variant is reported (min-of-rounds discards scheduler
@@ -44,7 +44,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pnm_core::{NodeContext, SinkConfig, SinkCounters, SinkEngine, StageMetrics, VerifyMode};
+use pnm_core::{
+    Arrival, NodeContext, SinkConfig, SinkCounters, SinkEngine, StageMetrics, VerifyMode,
+};
 use pnm_obs::{FlightRecorder, JsonValue, ShardedRingCollector, Tracer};
 use pnm_sim::{bogus_packet, PathScenario, SchemeKind};
 use pnm_wire::{NodeId, Packet};
@@ -148,7 +150,7 @@ fn run_variant(
             for pkt in stream {
                 let span = tracer.span_root("bench.ingest");
                 let ctx = span.context().expect("root span carries a context");
-                sink.ingest_ctx(pkt, pkt.report.timestamp, ctx);
+                sink.ingest(Arrival::new(pkt).traced(ctx));
             }
             let ns = start.elapsed().as_nanos() as u64;
             (ns, sink.counters(), sink.stage_metrics().clone())

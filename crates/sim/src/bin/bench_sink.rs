@@ -100,7 +100,9 @@ fn run_batched_same_reports(packets: usize, tracer: &Tracer) -> (SinkCounters, S
             pkt
         })
         .collect();
-    sink.ingest_batch(&stream);
+    for pkt in &stream {
+        sink.ingest(pkt);
+    }
     (sink.counters(), sink.stage_metrics().clone())
 }
 

@@ -52,7 +52,9 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
+use pnm_core::{
+    Arrival, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode,
+};
 use pnm_crypto::KeyStore;
 use pnm_obs::{FlightRecorder, Tracer};
 use pnm_service::{ServiceConfig, ServicePool};
@@ -101,13 +103,13 @@ fn flight_drill(dir: &str) -> Result<std::path::PathBuf, String> {
     for pkt in clean {
         let span = tracer.span_root("soak.ingest");
         let ctx = span.context().expect("root span carries a context");
-        pool.ingest_ctx(pkt, 0, ctx)
+        pool.ingest(Arrival::new(pkt).at(0).traced(ctx))
             .map_err(|e| format!("clean ingest shed: {e:?}"))?;
     }
     let poison_span = tracer.span_root("soak.ingest");
     let poison_ctx = poison_span.context().expect("root span carries a context");
     let poison_trace = poison_ctx.trace;
-    pool.ingest_ctx(poison, 0, poison_ctx)
+    pool.ingest(Arrival::new(poison).at(0).traced(poison_ctx))
         .map_err(|e| format!("poison ingest shed: {e:?}"))?;
     drop(poison_span);
     let report = pool.drain();

@@ -117,9 +117,9 @@ pub fn bogus_packet(seq: u64, run_tag: u64) -> Packet {
 /// Ingests a pre-built packet stream into a sink engine, returning the
 /// verified chains (diagnostics helper for attack experiments).
 pub fn ingest_all(sink: &mut SinkEngine, packets: &[Packet]) -> Vec<VerifiedChain> {
-    sink.ingest_batch(packets)
-        .into_iter()
-        .map(|out| out.chain.expect("no classifier configured"))
+    packets
+        .iter()
+        .map(|p| sink.ingest(p).chain.expect("no classifier configured"))
         .collect()
 }
 
